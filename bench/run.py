@@ -31,6 +31,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,6 +45,9 @@ import tracer  # noqa: E402
 
 DESIGN = json.loads((HERE / "design.json").read_text(encoding="utf-8"))
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+TAIL_Q = 0.75  # step_s_tail percentile: keeps well over ten of ~100 gaps beyond it
+# Per-layer counts fixed by the workload: printed, but not BENCHMARK.json metrics.
+FIXED_COUNTS = ("ingest.tuples", "engine.steps")
 
 
 class CannotRun(Exception):
@@ -98,44 +102,94 @@ class Stream:
         self.path.unlink()
 
 
+class Launcher:
+    """Starts and times every child from a process forked before the benchmark
+    imports the package or generates a stream. Linux carries a parent's peak
+    RSS into its child's ``ru_maxrss``, so a child started from the grown
+    benchmark process would never read below that process's own peak."""
+
+    def __init__(self, workdir: Path, deadline: float):
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            # Never return into the benchmark's code: the parent sees the
+            # replies pipe close and fails the run.
+            try:
+                os.close(requests_w)
+                os.close(replies_r)
+                with open(requests_r, "r") as requests, open(replies_w, "w") as replies:
+                    for line in requests:
+                        reply = run_child(json.loads(line), workdir, deadline)
+                        replies.write(json.dumps(reply) + "\n")
+                        replies.flush()
+            except BaseException:
+                traceback.print_exc()
+                os._exit(1)
+            os._exit(0)
+        os.close(requests_r)
+        os.close(replies_w)
+        self.requests = open(requests_w, "w")
+        self.replies = open(replies_r, "r")
+        self.workdir = workdir
+
+    def run(self, argv: list[str]) -> tuple[dict, bytes, str]:
+        """Run a child to completion: timings and peak RSS, stdout, stderr."""
+        self.requests.write(json.dumps(argv) + "\n")
+        self.requests.flush()
+        line = self.replies.readline()
+        if not line:
+            raise CannotRun("the launcher process ended")
+        reply = json.loads(line)
+        return (reply, (self.workdir / "stdout.bin").read_bytes(),
+                (self.workdir / "stderr.txt").read_text(encoding="utf-8", errors="replace"))
+
+    def close(self) -> None:
+        self.requests.close()
+        self.replies.close()
+        os.waitpid(self.pid, 0)
+
+
+def run_child(argv: list[str], workdir: Path, deadline: float) -> dict:
+    """In the launcher: wall time, stdout line arrival gaps, peak RSS, exit code."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    started = time.perf_counter()
+    with open(workdir / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env, cwd=ROOT)
+    watchdog = threading.Timer(max(deadline - started, 1.0), proc.kill)
+    watchdog.start()
+    stamps, chunks = [], []
+    try:
+        for line in proc.stdout:
+            stamps.append(time.perf_counter())
+            chunks.append(line)
+    finally:
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - started
+        watchdog.cancel()
+        proc.stdout.close()
+    (workdir / "stdout.bin").write_bytes(b"".join(chunks))
+    return {"wall_s": wall, "rss_mb": usage.ru_maxrss / 1024,
+            "gaps": [b - a for a, b in zip(stamps, stamps[1:])],
+            "returncode": os.waitstatus_to_exitcode(status)}
+
+
 class Runner:
     """Launches one child at a time and keeps the operation tally."""
 
-    def __init__(self, workdir: Path, deadline: float):
-        self.workdir = workdir
+    def __init__(self, launcher: Launcher | None, deadline: float):
+        self.launcher = launcher
         self.deadline = deadline
-        self.env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         self.attempted = 0
         self.failures: list[str] = []
 
     def launch(self, argv: list[str], label: str) -> SimpleNamespace:
-        """Run a child to completion: wall time, stdout line arrival times, peak RSS."""
         self.attempted += 1
-        err_path = self.workdir / "stderr.txt"
-        started = time.perf_counter()
-        with open(err_path, "wb") as err:
-            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err,
-                                    env=self.env, cwd=ROOT)
-        watchdog = threading.Timer(max(self.deadline - started, 1.0), proc.kill)
-        watchdog.start()
-        stamps, chunks = [], []
-        try:
-            for line in proc.stdout:
-                stamps.append(time.perf_counter())
-                chunks.append(line)
-        finally:
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall = time.perf_counter() - started
-            watchdog.cancel()
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            proc.stdout.close()
-        stderr = err_path.read_text(encoding="utf-8", errors="replace")
-        result = SimpleNamespace(
-            wall_s=wall, out=b"".join(chunks), rss_mb=usage.ru_maxrss / 1024,
-            gaps=[b - a for a, b in zip(stamps, stamps[1:])], ok=True,
-        )
-        if proc.returncode != 0 or "Traceback" in stderr:
-            self.fail(result, f"{label}: exit {proc.returncode}: {stderr.strip()[-500:]}")
+        reply, out, stderr = self.launcher.run(argv)
+        result = SimpleNamespace(wall_s=reply["wall_s"], out=out, rss_mb=reply["rss_mb"],
+                                 gaps=reply["gaps"], ok=True)
+        if reply["returncode"] != 0 or "Traceback" in stderr:
+            self.fail(result, f"{label}: exit {reply['returncode']}: {stderr.strip()[-500:]}")
         return result
 
     def fail(self, result, message: str) -> None:
@@ -150,28 +204,45 @@ class Runner:
         if problems:
             self.fail(result, f"{label}: output rejected: " + "; ".join(problems[:5]))
 
-    def past(self, seconds: float) -> bool:
-        return time.perf_counter() + seconds > self.deadline
+    def out_of_time(self, unrun: int) -> bool:
+        """At the deadline, count the streams not yet run as failed operations."""
+        if time.perf_counter() < self.deadline:
+            return False
+        self.attempted += unrun
+        self.failures.extend(["deadline reached: stream not run"] * unrun)
+        return True
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def tail(samples: list[float], q: float) -> tuple[str, float]:
-    """The workload's tail percentile (nearest rank), labelled with how many
-    samples lie beyond it; the percentile is fixed per workload so runs compare."""
+def tail(samples: list[float]) -> tuple[str, float]:
+    """Percentile TAIL_Q (nearest rank), labelled with how many samples lie beyond it."""
     ordered = sorted(samples)
     if not ordered:
         return "no samples", 0.0
-    rank = max(math.ceil(q * len(ordered)), 1)
+    rank = max(math.ceil(TAIL_Q * len(ordered)), 1)
     beyond = len(ordered) - rank
-    label = f"p{q * 100:g}, {beyond} beyond" + ("" if beyond >= 10 else ": too few samples")
+    label = f"p{TAIL_Q * 100:g}, {beyond} beyond" + ("" if beyond >= 10 else ": too few samples")
     return label, ordered[rank - 1]
 
 
 def cli_argv(args: list[str]) -> list[str]:
     return [sys.executable, "-u", "-m", "tensorsplice.cli", *args]
+
+
+def stream_count(workload: dict, seconds: float, traced: bool) -> int:
+    """Streams in a run: fixed by the workload and the run length, never by how
+    fast the program is, so every version measures the same inputs. A traced
+    stream runs twice (untraced, then traced), so a traced run takes half."""
+    count = workload["streams"] * seconds / BENCHMARK["run_seconds"]
+    return max(1, round(count / 2 if traced else count))
+
+
+def deadline_s(seconds: float) -> float:
+    """Safety stop: twice the run length, plus room for a one-stream run."""
+    return 2 * seconds + 30
 
 
 def warm_up(runner: Runner, stream: Stream, workdir: Path) -> list[str]:
@@ -188,7 +259,7 @@ def measure(synth, name: str, workload: dict, seed: int, seconds: float,
             runner: Runner, workdir: Path) -> tuple[dict, dict]:
     """Untraced run: one invocation per generated stream, each preceded by
     one on an empty input, so set-up is sampled across the whole run."""
-    began = time.perf_counter()
+    count = stream_count(workload, seconds, traced=False)
     first = Stream(synth, workload, seed * 10_000, workdir)
     empty_args = warm_up(runner, first, workdir)
     setups = []
@@ -200,8 +271,12 @@ def measure(synth, name: str, workload: dict, seed: int, seconds: float,
         setups.append(result.wall_s)
 
     walls, rss, gaps, fs, digests = [], [], [], [], []
-    stream, i = first, 0
-    while True:
+    stream = first
+    for i in range(count):
+        if i:
+            if runner.out_of_time(count - i):
+                break
+            stream = Stream(synth, workload, seed * 10_000 + i, workdir)
         time_setup()
         result = runner.launch(cli_argv(stream.args), f"stream {i}")
         runner.check(result, stream, f"stream {i}")
@@ -209,31 +284,23 @@ def measure(synth, name: str, workload: dict, seed: int, seconds: float,
         rss.append(result.rss_mb)
         gaps.extend(result.gaps)
         digests.append(digest(result.out))
-        if i < DESIGN["min_streams"]:
-            fs.append(stream.f_measure(synth, result.out) if result.ok else 0.0)
+        fs.append(stream.f_measure(synth, result.out) if result.ok else 0.0)
         if stream is not first:
             stream.remove()
-        i += 1
-        left = seconds - (time.perf_counter() - began)
-        # Keep one invocation's worth of time for the determinism re-run.
-        if i >= DESIGN["min_streams"] and left < 2 * statistics.median(walls):
-            break
-        if runner.past(2 * max(walls)):
-            break
-        stream = Stream(synth, workload, seed * 10_000 + i, workdir)
 
-    time_setup()
-    again = runner.launch(cli_argv(first.args), "stream 0 re-run")
-    runner.check(again, first, "stream 0 re-run")
-    if again.ok and digest(again.out) != digests[0]:
-        runner.fail(again, "stream 0: output differs between two runs of the same input")
-    walls.append(again.wall_s)
-    rss.append(again.rss_mb)
-    gaps.extend(again.gaps)
+    if not runner.out_of_time(1):
+        time_setup()
+        again = runner.launch(cli_argv(first.args), "stream 0 re-run")
+        runner.check(again, first, "stream 0 re-run")
+        if again.ok and digest(again.out) != digests[0]:
+            runner.fail(again, "stream 0: output differs between two runs of the same input")
+        walls.append(again.wall_s)
+        rss.append(again.rss_mb)
+        gaps.extend(again.gaps)
     check_digest(runner, name, workload, seed, digests[0])
 
     wall_s = statistics.median(walls)
-    label, step_tail = tail(gaps, workload["tail_percentile"])
+    label, step_tail = tail(gaps)
     metrics = {
         "setup_s": (statistics.median(setups), "s", len(setups), "median"),
         "wall_s": (wall_s, "s", len(walls), "median"),
@@ -252,11 +319,12 @@ def measure(synth, name: str, workload: dict, seed: int, seconds: float,
 def measure_traced(synth, name: str, workload: dict, seed: int, seconds: float,
                    runner: Runner, workdir: Path) -> tuple[dict, dict]:
     """Traced run: each stream once untraced and once under the tracer."""
-    began = time.perf_counter()
+    count = stream_count(workload, seconds, traced=True)
     per_stream, layer_selves, series = [], [], []
     first_digest = None
-    i = 0
-    while True:
+    for i in range(count):
+        if i and runner.out_of_time(count - i):
+            break
         stream = Stream(synth, workload, seed * 10_000 + i, workdir)
         if i == 0:
             warm_up(runner, stream, workdir)
@@ -280,19 +348,15 @@ def measure_traced(synth, name: str, workload: dict, seed: int, seconds: float,
             series.append(trace["steps"])
             spans_path.unlink()
         stream.remove()
-        i += 1
-        pair_s = (time.perf_counter() - began) / i
-        if i >= DESIGN["min_streams"] and seconds - (time.perf_counter() - began) < pair_s:
-            break
-        if runner.past(2 * pair_s):
-            break
     check_digest(runner, name, workload, seed, first_digest)
     if not per_stream:
         raise CannotRun("no traced invocation wrote its spans")
 
     units = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
+    units.update(dict.fromkeys(FIXED_COUNTS, "count"))
     metrics = {key: (statistics.median(s[key] for s in per_stream), units[key], len(per_stream),
-                     "median over streams") for key in units}
+                     "fixed by the workload" if key in FIXED_COUNTS else "median over streams")
+               for key in units}
     selves = {layer: statistics.median(s[layer] for s in layer_selves) for layer in tracer.LAYERS}
     if name == "oracle" and metrics["splice.calls"][0] != 0:
         runner.failures.append("oracle: splice_pair was called, but the oracle has no splice step")
@@ -336,7 +400,8 @@ def report(name, seed, trace, metrics, runner, record) -> dict:
         "correct": failed == 0,
         "attempted": runner.attempted,
         "failed": failed,
-        "metrics": {key: {"value": value, "unit": unit} for key, (value, unit, _, _) in metrics.items()},
+        "metrics": {key: {"value": value, "unit": unit}
+                    for key, (value, unit, _, _) in metrics.items() if key not in FIXED_COUNTS},
     }
 
 
@@ -350,23 +415,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     workload = DESIGN["workloads"][args.workload]
     seed = workload["default_seed"] if args.seed is None else args.seed
-    try:
-        synth = load_synth()
-    except CannotRun as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
     started = time.perf_counter()
+    deadline = started + deadline_s(args.seconds)
     OUT.mkdir(exist_ok=True)
     workdir = OUT / f"work-{os.getpid()}"
     workdir.mkdir()
-    runner = Runner(workdir, started + DESIGN["deadline_s"])
+    launcher = Launcher(workdir, deadline)
     try:
+        synth = load_synth()
+        runner = Runner(launcher, deadline)
         run = measure_traced if args.trace else measure
         metrics, record = run(synth, args.workload, workload, seed, args.seconds, runner, workdir)
     except CannotRun as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
     finally:
+        launcher.close()
         shutil.rmtree(workdir, ignore_errors=True)
     result = report(args.workload, seed, args.trace, metrics, runner, record)
     record.update(result, failures=runner.failures,

@@ -128,3 +128,37 @@ def test_traced_cli_run_matches_untraced(tmp_path):
     root = [s for s in trace["spans"] if s[3] == -1]
     assert [s[0] for s in root] == ["cli"]
     assert sum(selves.values()) == pytest.approx(root[0][2] - root[0][1])
+
+
+def test_stream_count_is_fixed_by_the_run_length():
+    import run
+
+    workload = {"streams": 14}
+    full = run.BENCHMARK["run_seconds"]
+    assert run.stream_count(workload, full, traced=False) == 14
+    assert run.stream_count(workload, full, traced=True) == 7
+    assert run.stream_count(workload, 1, traced=False) == 1
+
+
+def test_deadline_counts_unrun_streams_as_failures():
+    import run
+
+    runner = run.Runner(None, deadline=0.0)
+    assert runner.out_of_time(3)
+    assert (runner.attempted, len(runner.failures)) == (3, 3)
+    assert not run.Runner(None, deadline=float("inf")).out_of_time(3)
+
+
+def test_launcher_rss_excludes_the_benchmark_process(tmp_path):
+    import run
+
+    launcher = run.Launcher(tmp_path, deadline=float("inf"))
+    try:
+        grown = b"x" * (100 * 1024 * 1024)  # the benchmark process grows after the fork
+        reply, out, _ = launcher.run([sys.executable, "-c", "print(1)"])
+        assert out == b"1\n" and reply["returncode"] == 0
+        assert reply["rss_mb"] < 60 < len(grown) / 2**20
+        with pytest.raises(run.CannotRun):
+            launcher.run([str(tmp_path / "no-such-program")])
+    finally:
+        launcher.close()
