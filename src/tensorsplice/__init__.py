@@ -18,16 +18,7 @@ from .errors import (
     TimeRegression,
 )
 from .ingest import IngestConfig, ModeDictionary, emit_step_output, parse_tuples
-from .splice import (
-    CandidateMerge,
-    MergeHeap,
-    SpliceModesReport,
-    empty_q_step,
-    enumerate_candidates,
-    required_new_modes,
-    splice_condition,
-    splice_pair,
-)
+from .splice import splice_condition, splice_pair
 from .synth import (
     EvalReport,
     InjectedTruth,
@@ -58,12 +49,6 @@ __all__ = [
     "ModeDictionary",
     "emit_step_output",
     "parse_tuples",
-    "CandidateMerge",
-    "MergeHeap",
-    "SpliceModesReport",
-    "empty_q_step",
-    "enumerate_candidates",
-    "required_new_modes",
     "splice_condition",
     "splice_pair",
     "EvalReport",

@@ -1,7 +1,7 @@
 """Sparse coordinate tensors and the block algebra everything else runs on.
 
 Entries live in plain dicts keyed by N-tuples of dense integer ids, one id
-per mode, and every stored value is strictly positive. By convention the
+per mode, and every stored value is positive and finite. By convention the
 time-bin ordinal is the last mode. A Block restricts a tensor to explicit
 per-mode id sets and keeps two aggregates consistent with its entries at
 all times:
@@ -20,6 +20,7 @@ are exposed sorted wherever iteration order can leak into output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DegenerateBlock, NotASubblock, ShapeMismatch
@@ -42,8 +43,7 @@ class TensorSlice:
     """All tuples of one stream window, accumulated in coordinate form.
 
     ``time_range`` is the half-open ``[lo, hi)`` interval of bin ordinals
-    the slice covers; streaming slices always span exactly one bin while
-    the full-rerun baseline accumulates a growing range.
+    the slice covers; streaming slices always span exactly one bin.
     """
 
     __slots__ = ("n_modes", "entries", "mode_index_sets", "time_range")
@@ -62,8 +62,8 @@ class TensorSlice:
             raise ShapeMismatch(
                 f"event has {len(event.ids)} ids, slice expects {self.n_modes}"
             )
-        if not event.value > 0:
-            raise ValueError("slice entries must have positive values")
+        if not 0 < event.value < math.inf:
+            raise ValueError("slice entries must have positive finite values")
         key = tuple(event.ids)
         self.entries[key] = self.entries.get(key, 0) + event.value
         for mode, idx in enumerate(key):
@@ -87,7 +87,7 @@ class Block:
 
     Index sets are derived from the entries at construction, so the
     structural invariants (no dangling id, no empty mode while entries
-    exist, positive values) hold for every instance.
+    exist, positive finite values) hold for every instance.
     """
 
     __slots__ = ("n_modes", "entries", "index_sets", "mass")
@@ -120,8 +120,10 @@ class Block:
                     raise ShapeMismatch(
                         f"entry key {key!r} has {len(key)} ids, expected {n_modes}"
                     )
-                if not value > 0:
-                    raise ValueError(f"entry {key!r} has non-positive value {value!r}")
+                if not 0 < value < math.inf:
+                    raise ValueError(
+                        f"entry {key!r} has value {value!r}, not positive and finite"
+                    )
         index_sets: list[set[int]] = [set() for _ in range(n_modes)]
         for key in entries:
             for mode, idx in enumerate(key):

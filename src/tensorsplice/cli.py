@@ -9,9 +9,11 @@ Subcommands:
 * ``evaluate``  run the engine on a generated stream and score it
 * ``scale``     runtime-vs-size measurements for engine and baseline
 
-Exit codes: 0 on success, 2 when parsing aborts, 3 on configuration
-errors. Detection output never contains wall-clock numbers, so a fixed
-input and seed reproduce byte-identical files; timings go to stderr.
+Exit codes: 0 on success, 2 when the input is bad (a malformed or
+non-finite field, a timestamp out of order, bytes that are not UTF-8),
+3 on configuration errors, including a file that cannot be opened.
+Detection output never contains wall-clock numbers, so a fixed input and
+seed reproduce byte-identical files; timings go to stderr.
 """
 
 from __future__ import annotations
@@ -24,14 +26,8 @@ from typing import Iterable, Iterator, TextIO
 
 from .blocks import Event, TensorSlice
 from .detect import DetectParams, detect_top_blocks
-from .engine import EngineConfig, StepOutput, run_stream
-from .errors import (
-    ConfigError,
-    DensityInfeasible,
-    IngestError,
-    TensorSpliceError,
-    TimeRegression,
-)
+from .engine import EngineConfig, StepOutput, bin_slices, run_stream
+from .errors import ConfigError, DensityInfeasible, IngestError, TensorSpliceError
 from .ingest import (
     SCHEMA_VERSION,
     IngestConfig,
@@ -96,17 +92,14 @@ def _add_engine_flags(p: argparse.ArgumentParser, k_default: int = 10) -> None:
                    help="extra retained blocks kept as splice material (default 5)")
     p.add_argument("--max-epochs", type=int, default=5,
                    help="splicing sweeps per step (default 5)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="reserved concurrency knob; the current implementation "
-                        "is single-process")
 
 
 def _ingest_config(args) -> IngestConfig:
     stride = args.stride
-    if stride == int(stride):
+    if stride.is_integer():
         stride = int(stride)
     t0 = args.t0
-    if t0 is not None and t0 == int(t0):
+    if t0 is not None and t0.is_integer():
         t0 = int(t0)
     return IngestConfig(
         mode_cols=_csv_ints(args.modes),
@@ -126,44 +119,21 @@ def _open_output(path: str | None) -> TextIO:
     return open(path, "w", encoding="utf-8") if path else sys.stdout
 
 
-def _counting(events: Iterable[Event], box: dict) -> Iterator[Event]:
-    for event in events:
-        box["nnz"] += 1
-        box["mass"] = box.get("mass", 0) + event.value
-        yield event
+def _read_events(
+    path: str, cfg: IngestConfig, dicts: ModeDictionary, counts: dict
+) -> Iterator[Event]:
+    """Events parsed from a tuple file, counted into ``counts["nnz"]``.
 
-
-def cmd_run(args) -> int:
-    cfg = _ingest_config(args)
-    engine_cfg = EngineConfig(
-        n_modes=cfg.n_modes, stride=cfg.stride, k=args.k, l=args.l,
-        max_epochs=args.max_epochs,
-    )
-    dicts = ModeDictionary.for_config(cfg)
-    counters = {"nnz": 0}
-    steps = 0
-    detect_s = splice_s = 0.0
-    started = time.perf_counter()
-    out = _open_output(args.output)
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            events = _counting(parse_tuples(handle, cfg, dicts), counters)
-            for output in run_stream(events, engine_cfg):
-                out.write(emit_step_output(output, dicts))
-                out.write("\n")
-                steps += 1
-                detect_s += output.timing["detect"]
-                splice_s += output.timing["splice"]
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    wall = time.perf_counter() - started
-    print(
-        f"steps={steps} nnz={counters['nnz']} detect={detect_s:.3f}s "
-        f"splice={splice_s:.3f}s wall={wall:.3f}s",
-        file=sys.stderr,
-    )
-    return 0
+    Bytes that are not UTF-8 end the read as an ingest error naming the
+    file; the text layer decodes in chunks, so no line number is known.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            for event in parse_tuples(handle, cfg, dicts):
+                counts["nnz"] += 1
+                yield event
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: input is not UTF-8 text ({exc.reason})") from None
 
 
 def iter_rerun_outputs(
@@ -172,62 +142,50 @@ def iter_rerun_outputs(
     """Re-detect on the full accumulated tensor at every stride."""
     params = DetectParams(cfg.pool_size, cfg.n_modes)
     accumulated = TensorSlice(cfg.n_modes, (0, 1))
-    current_bin = 0
-    saw_events = False
-
-    def detect_now(step_index: int) -> StepOutput:
-        accumulated.time_range = (0, step_index + 1)
+    for step_index, slice_ in enumerate(bin_slices(events, cfg.n_modes)):
+        # Keys never collide across bins, because time is the last mode,
+        # and detection reads only the entries.
+        accumulated.entries.update(slice_.entries)
         begun = time.perf_counter()
         found = detect_top_blocks(accumulated, params) if accumulated.nnz else []
         elapsed = time.perf_counter() - begun
-        return StepOutput(
+        yield StepOutput(
             step_index=step_index,
-            time_range=(step_index, step_index + 1),
+            time_range=slice_.time_range,
             top_k=found[: cfg.k],
             timing={"detect": elapsed, "splice": 0.0},
         )
 
-    for event in events:
-        t = event.ids[-1]
-        if t < current_bin:
-            raise TimeRegression(
-                f"event in bin {t} after the baseline advanced to bin {current_bin}"
-            )
-        while t > current_bin:
-            yield detect_now(current_bin)
-            current_bin += 1
-        accumulated.add(event)
-        saw_events = True
-    if saw_events:
-        yield detect_now(current_bin)
 
-
-def cmd_oracle(args) -> int:
+def cmd_stream(args) -> int:
+    """``run`` and ``oracle``: one JSON line per stride, a summary on stderr."""
     cfg = _ingest_config(args)
     engine_cfg = EngineConfig(
         n_modes=cfg.n_modes, stride=cfg.stride, k=args.k, l=args.l,
         max_epochs=args.max_epochs,
     )
     dicts = ModeDictionary.for_config(cfg)
-    counters = {"nnz": 0}
+    outputs_of = run_stream if args.command == "run" else iter_rerun_outputs
+    counts = {"nnz": 0}
     steps = 0
-    detect_s = 0.0
+    detect_s = splice_s = 0.0
     started = time.perf_counter()
     out = _open_output(args.output)
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            events = _counting(parse_tuples(handle, cfg, dicts), counters)
-            for output in iter_rerun_outputs(events, engine_cfg):
-                out.write(emit_step_output(output, dicts))
-                out.write("\n")
-                steps += 1
-                detect_s += output.timing["detect"]
+        events = _read_events(args.input, cfg, dicts, counts)
+        for output in outputs_of(events, engine_cfg):
+            out.write(emit_step_output(output, dicts))
+            out.write("\n")
+            steps += 1
+            detect_s += output.timing["detect"]
+            splice_s += output.timing["splice"]
     finally:
         if out is not sys.stdout:
             out.close()
     wall = time.perf_counter() - started
     print(
-        f"steps={steps} nnz={counters['nnz']} detect={detect_s:.3f}s wall={wall:.3f}s",
+        f"steps={steps} nnz={counts['nnz']} detect={detect_s:.3f}s "
+        f"splice={splice_s:.3f}s wall={wall:.3f}s",
         file=sys.stderr,
     )
     return 0
@@ -276,13 +234,13 @@ def cmd_evaluate(args) -> int:
     density_series: list[float] = []
     timings: list[float] = []
     last_output = None
-    with open(args.input, "r", encoding="utf-8") as handle:
-        for output in run_stream(parse_tuples(handle, cfg, dicts), engine_cfg):
-            last_output = output
-            density_series.append(
-                round(output.top_k[0].density, 9) if output.top_k else 0.0
-            )
-            timings.append(output.timing["detect"] + output.timing["splice"])
+    events = _read_events(args.input, cfg, dicts, {"nnz": 0})
+    for output in run_stream(events, engine_cfg):
+        last_output = output
+        density_series.append(
+            round(output.top_k[0].density, 9) if output.top_k else 0.0
+        )
+        timings.append(output.timing["detect"] + output.timing["splice"])
     if last_output is None:
         raise ConfigError("input stream is empty, nothing to evaluate")
     report = score(last_output, truth, dicts, per_entry=args.per_entry)
@@ -346,13 +304,13 @@ def build_parser() -> _Parser:
     _add_ingest_flags(p)
     _add_engine_flags(p)
     p.add_argument("--output", default=None, help="default: stdout")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("oracle", help="full re-detection baseline, same schema")
     _add_ingest_flags(p)
     _add_engine_flags(p)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("generate", help="synthesize a stream with a planted block")
     p.add_argument("--block", required=True, help="planted shape, e.g. 50x20")
@@ -405,15 +363,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, DensityInfeasible) as exc:
+    except (
+        ConfigError, DensityInfeasible,
+        FileNotFoundError, IsADirectoryError, PermissionError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (IngestError, TimeRegression) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TensorSpliceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -140,15 +140,13 @@ def peel_once(working: Block) -> Block:
     return Block._adopt(working.n_modes, snapshot)
 
 
-def detect_top_blocks(source: TensorSlice | Block, params: DetectParams) -> list[Block]:
+def detect_top_blocks(source: TensorSlice, params: DetectParams) -> list[Block]:
     """Up to ``num_blocks`` entry-disjoint dense blocks, densest first."""
     if source.n_modes != params.n_modes:
         raise ShapeMismatch(
             f"source has {source.n_modes} modes, params expect {params.n_modes}"
         )
-    working = source.to_block() if isinstance(source, TensorSlice) else Block(
-        source.n_modes, source.entries
-    )
+    working = source.to_block()
     found: list[Block] = []
     while len(found) < params.num_blocks and working.nnz:
         block = peel_once(working)

@@ -61,7 +61,6 @@ class EngineState:
     retained: list[Block] = field(default_factory=list)
     frontier: int = 0  # next bin ordinal to be processed
     step_counter: int = 0
-    total_nnz: int = 0
 
     @classmethod
     def initial(cls) -> "EngineState":
@@ -159,34 +158,39 @@ def step(
         retained=retained,
         frontier=state.frontier + 1,
         step_counter=state.step_counter + 1,
-        total_nnz=state.total_nnz + slice_.nnz,
     )
     return new_state, output
 
 
-def run_stream(events: Iterable[Event], cfg: EngineConfig) -> Iterator[StepOutput]:
-    """Partition a bin-ordered event stream into strides and step through it.
+def bin_slices(events: Iterable[Event], n_modes: int) -> Iterator[TensorSlice]:
+    """Partition a bin-ordered event stream into one slice per time bin.
 
-    Empty bins between occupied ones still produce a StepOutput, so
-    per-step series keep a uniform time axis.
+    Slices run from bin 0 through the last occupied bin; an empty bin
+    between occupied ones still yields an empty slice, so per-step series
+    keep a uniform time axis. An empty stream yields nothing.
     """
-    state = EngineState.initial()
     current_bin = 0
-    current = TensorSlice(cfg.n_modes, (0, 1))
+    current = TensorSlice(n_modes, (0, 1))
     saw_events = False
     for event in events:
         t = event.ids[-1]
         if t < current_bin:
             raise TimeRegression(
-                f"event in bin {t} after the engine advanced to bin {current_bin}"
+                f"event in bin {t} after the stream advanced to bin {current_bin}"
             )
         while t > current_bin:
-            state, output = step(state, current, cfg)
-            yield output
+            yield current
             current_bin += 1
-            current = TensorSlice(cfg.n_modes, (current_bin, current_bin + 1))
+            current = TensorSlice(n_modes, (current_bin, current_bin + 1))
         current.add(event)
         saw_events = True
     if saw_events:
-        _, output = step(state, current, cfg)
+        yield current
+
+
+def run_stream(events: Iterable[Event], cfg: EngineConfig) -> Iterator[StepOutput]:
+    """Step through a bin-ordered event stream, one output per bin."""
+    state = EngineState.initial()
+    for slice_ in bin_slices(events, cfg.n_modes):
+        state, output = step(state, slice_, cfg)
         yield output

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime
-from math import floor
 from typing import Iterable, Iterator
 
 from .blocks import Block, Event
@@ -50,8 +50,10 @@ class IngestConfig:
     def __post_init__(self):
         if len(self.mode_cols) < 1:
             raise ConfigError("need at least one categorical mode column")
-        if self.stride <= 0:
-            raise ConfigError("stride must be positive")
+        if not 0 < self.stride < math.inf:
+            raise ConfigError("stride must be positive and finite")
+        if self.t0 is not None and not math.isfinite(self.t0):
+            raise ConfigError("t0 must be finite")
         if self.time_col in self.mode_cols or self.time_col in self.binned_cols:
             raise ConfigError("the time column cannot double as a mode column")
         if self.time_format not in ("epoch", "iso"):
@@ -116,13 +118,25 @@ class ModeDictionary:
 def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
     if fmt == "epoch":
         try:
-            return float(raw)
+            ts = float(raw)
         except ValueError:
             raise BadTimestamp(f"not an epoch timestamp: {raw!r}", lineno) from None
+        if not math.isfinite(ts):
+            raise BadTimestamp(f"non-finite timestamp: {raw!r}", lineno)
+        return ts
     try:
         return datetime.fromisoformat(raw).timestamp()
     except ValueError:
         raise BadTimestamp(f"not an ISO-8601 timestamp: {raw!r}", lineno) from None
+
+
+def _time_bin(ts, t0, stride, lineno: int, raw: str, binned_col=None) -> int:
+    offset = (ts - t0) / stride
+    if 0 <= offset < math.inf:  # finite inputs can still overflow the quotient
+        return math.floor(offset)
+    what = f"timestamp {raw!r}" if binned_col is None else f"binned column {binned_col}"
+    problem = "precedes the stream origin" if offset < 0 else "is too far from the stream origin"
+    raise BadTimestamp(f"{what} {problem}", lineno)
 
 
 def _parse_value(raw: str, lineno: int) -> int | float:
@@ -133,6 +147,8 @@ def _parse_value(raw: str, lineno: int) -> int | float:
             value = float(raw)
         except ValueError:
             raise MalformedLine(f"bad value field: {raw!r}", lineno) from None
+    if not math.isfinite(value):
+        raise MalformedLine(f"non-finite value field: {raw!r}", lineno)
     if value < 0:
         raise NegativeValue(f"negative value {value!r}", lineno)
     return value
@@ -171,15 +187,11 @@ def parse_tuples(
                 log.warning("line %d: extra columns beyond %d are ignored", lineno, needed + 1)
                 warned_extra = True
 
-            ts = _parse_timestamp(parts[cfg.time_col], cfg.time_format, lineno)
+            raw_ts = parts[cfg.time_col]
+            ts = _parse_timestamp(raw_ts, cfg.time_format, lineno)
             if t0 is None:
                 t0 = ts
-            time_bin = floor((ts - t0) / cfg.stride)
-            if time_bin < 0:
-                raise BadTimestamp(
-                    f"timestamp {parts[cfg.time_col]!r} precedes the stream origin",
-                    lineno,
-                )
+            time_bin = _time_bin(ts, t0, cfg.stride, lineno, raw_ts)
 
             value = 1 if cfg.value_col is None else _parse_value(parts[cfg.value_col], lineno)
             if value == 0:
@@ -188,12 +200,7 @@ def parse_tuples(
             ids = [dicts.encode(m, parts[col]) for m, col in enumerate(cfg.mode_cols)]
             for col in cfg.binned_cols:
                 extra_ts = _parse_timestamp(parts[col], cfg.time_format, lineno)
-                extra_bin = floor((extra_ts - t0) / cfg.stride)
-                if extra_bin < 0:
-                    raise BadTimestamp(
-                        f"binned column {col} precedes the stream origin", lineno
-                    )
-                ids.append(extra_bin)
+                ids.append(_time_bin(extra_ts, t0, cfg.stride, lineno, parts[col], col))
             ids.append(time_bin)
             yield Event(tuple(ids), value)
         except (MalformedLine, BadTimestamp, NegativeValue) as exc:

@@ -20,84 +20,15 @@ for its copies once, not per merge.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .blocks import Block
 from .errors import DegenerateBlock, NotASubblock, PreconditionViolated, ShapeMismatch
-
-
-@dataclass(frozen=True)
-class SpliceModesReport:
-    """Modes on which two blocks share no ids and must bring new ones."""
-
-    q_modes: tuple[int, ...]
-
-    @property
-    def q_size(self) -> int:
-        return len(self.q_modes)
-
-
-@dataclass(frozen=True)
-class CandidateMerge:
-    """A donor sub-block built from one chosen new id per forced mode."""
-
-    block: Block
-    new_ids: tuple[int, ...]  # chosen id per forced mode, aligned with q_modes
-    new_index_counts: tuple[int, ...]  # per-mode count of ids unseen by the target
-    q_total: int
-
-
-class MergeHeap:
-    """Max-heap of candidates keyed by mass; ties fall back to the new-id
-    tuple so pop order is a total, deterministic order."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self):
-        self._items: list = []
-
-    def push(self, candidate: CandidateMerge) -> None:
-        heapq.heappush(
-            self._items, (-candidate.block.mass, candidate.new_ids, candidate)
-        )
-
-    def pop(self) -> CandidateMerge:
-        return heapq.heappop(self._items)[2]
-
-    def top(self) -> CandidateMerge:
-        return self._items[0][2]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
 
 
 def splice_condition(candidate_mass, q_total, g1) -> bool:
     """True when merging mass ``candidate_mass`` that brings ``q_total``
     new ids into a block of density ``g1`` strictly raises that density."""
     return candidate_mass > q_total * g1
-
-
-def new_id_count(block: Block, target: Block) -> int:
-    """Total ids of ``block`` absent from the matching mode of ``target``."""
-    return sum(
-        len(block.index_sets[m] - target.index_sets[m]) for m in range(block.n_modes)
-    )
-
-
-def required_new_modes(b1: Block, b2: Block) -> SpliceModesReport:
-    """Modes where b1 and b2 have no common id, i.e. any merge must bring
-    at least one new id on each of them."""
-    if b1.n_modes != b2.n_modes:
-        raise ShapeMismatch(f"{b1.n_modes}-mode vs {b2.n_modes}-mode blocks")
-    q = tuple(
-        m
-        for m in range(b1.n_modes)
-        if b1.index_sets[m].isdisjoint(b2.index_sets[m])
-    )
-    return SpliceModesReport(q_modes=q)
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +140,6 @@ def _bucket_by_combo(w1_sets, w2_entries, q_modes, free_modes) -> dict:
     return buckets
 
 
-def _single_new_id_buckets(w1_sets, w2_entries, n) -> dict:
-    """Donor sub-blocks adding exactly one new id, keyed by (mode, id)."""
-    buckets: dict[tuple[int, int], dict] = {}
-    for key, value in w2_entries.items():
-        # An entry with two or more unseen ids supports no single-id candidate.
-        new_mode = -1
-        for m in range(n):
-            if key[m] not in w1_sets[m]:
-                if new_mode >= 0:
-                    new_mode = -2
-                    break
-                new_mode = m
-        if new_mode >= 0:
-            bucket_key = (new_mode, key[new_mode])
-            bucket = buckets.get(bucket_key)
-            if bucket is None:
-                buckets[bucket_key] = {key: value}
-            else:
-                bucket[key] = value
-    return buckets
-
-
 def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
     """Run fully-overlapping passes to exhaustion without rescanning.
 
@@ -243,25 +152,7 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
     """
     n = w1.n
     moved_any = False
-
-    sets = w1.sets
     common = {}
-    for key, value in w2.entries.items():
-        inside = True
-        for m in range(n):
-            if key[m] not in sets[m]:
-                inside = False
-                break
-        if inside:
-            common[key] = value
-    if common:
-        before = w1.density()
-        w1.absorb(common)
-        w2.shed(common)
-        moved_any = True
-        if trace is not None:
-            trace.append((before, w1.density()))
-
     buckets: dict[tuple[int, int], dict] = {}
     masses: dict[tuple[int, int], int | float] = {}
     parked: dict[tuple[int, int], list] = {}
@@ -288,13 +179,25 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
 
     for key, value in w2.entries.items():
         new_ids = unseen_ids(key)
-        if len(new_ids) == 1:
+        if not new_ids:
+            common[key] = value
+        elif len(new_ids) == 1:
             enroll(key, value, new_ids)
         else:
             # Parked under every unseen id once; an id turning common
             # triggers a re-check, the other registrations stay put.
             for bucket_key in new_ids:
                 parked.setdefault(bucket_key, []).append(key)
+
+    # Shared entries bring no new id, so absorbing them after the scan
+    # leaves every other entry's classification unchanged.
+    if common:
+        before = w1.density()
+        w1.absorb(common)
+        w2.shed(common)
+        moved_any = True
+        if trace is not None:
+            trace.append((before, w1.density()))
 
     while buckets and heap:
         neg_mass, bucket_key = heapq.heappop(heap)
@@ -322,52 +225,6 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
         if any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)):
             break  # overlap lost on some mode, forced modes changed
     return moved_any
-
-
-def _empty_q_pass(w1: _Working, w2: _Working, trace) -> tuple[bool, bool]:
-    """One fully-overlapping pass; returns (anything moved, step-3 merged)."""
-    n = w1.n
-    sets = w1.sets
-    common = {}
-    for key, value in w2.entries.items():
-        inside = True
-        for m in range(n):
-            if key[m] not in sets[m]:
-                inside = False
-                break
-        if inside:
-            common[key] = value
-    moved = False
-    if common:
-        before = w1.density()
-        w1.absorb(common)
-        w2.shed(common)
-        moved = True
-        if trace is not None:
-            trace.append((before, w1.density()))
-
-    buckets = _single_new_id_buckets(w1.sets, w2.entries, n)
-    best_key = None
-    best_mass = 0
-    for bucket_key, entries in buckets.items():
-        mass = sum(entries.values())
-        if (
-            best_key is None
-            or mass > best_mass
-            or (mass == best_mass and bucket_key < best_key)
-        ):
-            best_key, best_mass = bucket_key, mass
-
-    progressed = False
-    if best_key is not None and best_mass * w1.size > w1.mass:
-        before = w1.density()
-        entries = buckets[best_key]
-        w1.absorb(entries)
-        w2.shed(entries)
-        progressed = True
-        if trace is not None:
-            trace.append((before, w1.density()))
-    return moved or progressed, progressed
 
 
 def _splice_workings(w1: _Working, w2: _Working, trace) -> None:
@@ -410,62 +267,6 @@ def _splice_workings(w1: _Working, w2: _Working, trace) -> None:
 
 # ---------------------------------------------------------------------------
 # Public operations
-
-
-def enumerate_candidates(b1: Block, b2: Block, report: SpliceModesReport) -> MergeHeap:
-    """All one-new-id-per-forced-mode donor sub-blocks, as a mass max-heap.
-
-    Every positive-mass candidate is inserted even if it fails the merge
-    test against b1's current density; the pop loop re-tests, since the
-    target density moves during splicing.
-    """
-    if not report.q_modes:
-        raise ValueError("enumerate_candidates needs at least one forced mode")
-    n = b1.n_modes
-    free_modes = [m for m in range(n) if m not in report.q_modes]
-    buckets = _bucket_by_combo(b1.index_sets, b2.entries, report.q_modes, free_modes)
-    heap = MergeHeap()
-    for combo, entries in buckets.items():
-        block = Block._adopt(n, dict(entries))
-        counts = tuple(
-            len(block.index_sets[m] - b1.index_sets[m]) for m in range(n)
-        )
-        heap.push(
-            CandidateMerge(
-                block=block,
-                new_ids=combo,
-                new_index_counts=counts,
-                q_total=sum(counts),
-            )
-        )
-    return heap
-
-
-def empty_q_step(
-    b1: Block, b2: Block, trace: list | None = None
-) -> tuple[Block, Block, bool]:
-    """One pass for fully-overlapping blocks.
-
-    1. Entries of b2 indexed entirely by shared ids move into b1 outright
-       (they raise density without any new id).
-    2. For every mode, the best sub-block adding exactly one new id on
-       that mode (all other ids shared) is formed; the heaviest one is
-       the single candidate.
-    3. That candidate merges iff it beats one new id's worth of density.
-
-    Returns the updated pair plus whether step 3 merged. Step 1 movement
-    is visible to the caller through the shrunken b2.
-    """
-    if b1.n_modes != b2.n_modes:
-        raise ShapeMismatch(f"{b1.n_modes}-mode vs {b2.n_modes}-mode blocks")
-    n = b1.n_modes
-    if any(
-        b1.index_sets[m].isdisjoint(b2.index_sets[m]) for m in range(n)
-    ):
-        raise PreconditionViolated("empty_q_step requires overlap on every mode")
-    w1, w2 = _Working(b1), _Working(b2)
-    _, progressed = _empty_q_pass(w1, w2, trace)
-    return w1.finish(), w2.finish(), progressed
 
 
 def splice_pair(

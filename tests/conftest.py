@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:  # allow running the suite without installing
     sys.path.insert(0, str(SRC))
 
-from tensorsplice import Block, required_new_modes  # noqa: E402
+from tensorsplice import Block  # noqa: E402
 
 
 def mk(entries: dict, n_modes: int = 3) -> Block:
@@ -77,6 +77,107 @@ def brute_force_best_density(block: Block) -> Fraction:
     return best
 
 
+# ---------------------------------------------------------------------------
+# One-shot splice oracle, written with the public Block operations only, so
+# it shares no code with the pair splicer it is compared against.
+
+
+def restrict(block: Block, allowed) -> Block:
+    """Entries of ``block`` whose id on every mode lies in ``allowed[mode]``."""
+    return Block(block.n_modes, {
+        k: v
+        for k, v in block.entries.items()
+        if all(k[m] in allowed[m] for m in range(block.n_modes))
+    })
+
+
+def new_id_count(block: Block, target: Block) -> int:
+    """Total ids of ``block`` absent from the matching mode of ``target``."""
+    return sum(
+        len(block.index_sets[m] - target.index_sets[m]) for m in range(block.n_modes)
+    )
+
+
+def required_new_modes(b1: Block, b2: Block) -> tuple:
+    """Modes where b1 and b2 share no id: any merge brings a new id on each."""
+    return tuple(
+        m for m in range(b1.n_modes) if b1.index_sets[m].isdisjoint(b2.index_sets[m])
+    )
+
+
+def _one_new_id(b1: Block, b2: Block, picks: dict) -> Block:
+    """Donor entries with id ``picks[m]`` on each picked mode and ids shared
+    with b1 everywhere else."""
+    allowed = [
+        {picks[m]} if m in picks else b1.index_sets[m] for m in range(b1.n_modes)
+    ]
+    return restrict(b2, allowed)
+
+
+def enumerate_candidates(b1: Block, b2: Block, q_modes: tuple) -> list:
+    """``(new_ids, sub-block)`` for every non-empty donor sub-block with one
+    id per forced mode, heaviest first, ties by the id tuple."""
+    out = []
+    for combo in product(*[b2.sorted_ids(m) for m in q_modes]):
+        cand = _one_new_id(b1, b2, dict(zip(q_modes, combo)))
+        if not cand.is_empty:
+            out.append((combo, cand))
+    out.sort(key=lambda c: (-c[1].mass, c[0]))
+    return out
+
+
+def single_new_id_candidates(b1: Block, b2: Block):
+    """``((mode, id), sub-block)`` for every donor id unseen by b1, in
+    ascending ``(mode, id)`` order; each sub-block adds only that id."""
+    for mode in range(b1.n_modes):
+        for idx in sorted(b2.index_sets[mode] - b1.index_sets[mode]):
+            yield (mode, idx), _one_new_id(b1, b2, {mode: idx})
+
+
+def empty_q_step(b1: Block, b2: Block) -> tuple:
+    """One pass for fully-overlapping blocks.
+
+    1. Entries of b2 indexed entirely by shared ids move into b1 outright.
+    2. The heaviest single-new-id sub-block (ties: the smallest
+       ``(mode, id)``) merges iff it beats one new id's worth of density.
+
+    Returns the updated pair plus whether step 2 merged.
+    """
+    shared = restrict(b2, b1.index_sets)
+    if not shared.is_empty:
+        b1, b2 = b1.union_with(shared), b2.subtract(shared)
+    best = max(
+        (cand for _, cand in single_new_id_candidates(b1, b2)),
+        key=lambda cand: cand.mass,
+        default=None,
+    )
+    if best is not None and best.mass * b1.size > b1.mass:
+        return b1.union_with(best), b2.subtract(best), True
+    return b1, b2, False
+
+
+def reference_splice(b1: Block, b2: Block) -> tuple:
+    """Literal loop over the one-shot passes; the production splicer must
+    land on exactly the same pair of blocks."""
+    while not b2.is_empty:
+        q_modes = required_new_modes(b1, b2)
+        if not q_modes:
+            donor_nnz = b2.nnz
+            b1, b2, _ = empty_q_step(b1, b2)
+            updated = b2.nnz != donor_nnz
+        else:
+            updated = False
+            for _, cand in enumerate_candidates(b1, b2, q_modes):
+                if cand.mass * b1.size > new_id_count(cand, b1) * b1.mass:
+                    b1, b2 = b1.union_with(cand), b2.subtract(cand)
+                    updated = True
+                else:
+                    break
+        if not updated:
+            break
+    return b1, b2
+
+
 def family_violations(b1: Block, b2: Block) -> list:
     """Donor sub-blocks of the splice family that would still raise b1.
 
@@ -86,44 +187,23 @@ def family_violations(b1: Block, b2: Block) -> list:
     all single-new-id sub-blocks. Exact integer arithmetic throughout;
     an exhausted splice must leave this list empty.
     """
-    out = []
     if b2.is_empty:
-        return out
-    n = b1.n_modes
+        return []
     g1 = Fraction(b1.mass, b1.size)
-    report = required_new_modes(b1, b2)
-    if report.q_modes:
-        q = report.q_modes
-        free = [m for m in range(n) if m not in q]
-        for combo in product(*[b2.sorted_ids(m) for m in q]):
-            mass = sum(
-                v
-                for k, v in b2.entries.items()
-                if all(k[m] == c for m, c in zip(q, combo))
-                and all(k[m] in b1.index_sets[m] for m in free)
-            )
-            if mass > len(q) * g1:
-                out.append((combo, mass))
-    else:
-        common_mass = sum(
-            v
-            for k, v in b2.entries.items()
-            if all(k[m] in b1.index_sets[m] for m in range(n))
-        )
-        if common_mass > 0:
-            out.append((("shared",), common_mass))
-        for mode in range(n):
-            for idx in sorted(b2.index_sets[mode] - b1.index_sets[mode]):
-                mass = sum(
-                    v
-                    for k, v in b2.entries.items()
-                    if k[mode] == idx
-                    and all(
-                        k[m] in b1.index_sets[m] for m in range(n) if m != mode
-                    )
-                )
-                if mass > g1:
-                    out.append(((mode, idx), mass))
+    q = required_new_modes(b1, b2)
+    if q:
+        return [
+            (combo, cand.mass)
+            for combo, cand in enumerate_candidates(b1, b2, q)
+            if cand.mass > len(q) * g1
+        ]
+    out = []
+    shared = restrict(b2, b1.index_sets)
+    if not shared.is_empty:
+        out.append((("shared",), shared.mass))
+    for new_id, cand in single_new_id_candidates(b1, b2):
+        if cand.mass > g1:
+            out.append((new_id, cand.mass))
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -119,8 +120,9 @@ class TestSliceAccumulation:
 
     def test_positive_values_only(self):
         s = TensorSlice(3, (0, 1))
-        with pytest.raises(ValueError):
-            s.add(Event((0, 0, 0), 0))
+        for value in (0, -1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                s.add(Event((0, 0, 0), value))
 
     def test_to_block_snapshot(self):
         s = TensorSlice(3, (0, 1))
@@ -132,8 +134,9 @@ class TestSliceAccumulation:
 
 class TestConstruction:
     def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            Block(3, {(0, 0, 0): 0})
+        for value in (0, -1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Block(3, {(0, 0, 0): value})
 
     def test_rejects_bad_key_length(self):
         with pytest.raises(ShapeMismatch):

@@ -1,9 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import tensorsplice.cli
 from conftest import SRC
 from tensorsplice.cli import main
 
@@ -13,6 +17,11 @@ RUN_FLAGS = [
     "--modes", "0,1", "--time-col", "2", "--value-col", "3",
     "--stride", "100", "--t0", "0",
 ]
+
+# The stderr summary line shared by ``run`` and ``oracle``.
+SUMMARY = re.compile(
+    r"steps=(\d+) nnz=(\d+) detect=\d+\.\d{3}s splice=(\d+\.\d{3})s wall=\d+\.\d{3}s"
+)
 
 
 def subprocess_env() -> dict:
@@ -31,19 +40,67 @@ def cli(*args) -> subprocess.CompletedProcess:
 
 
 class TestRun:
-    def test_matches_committed_golden(self, tmp_path):
+    def test_matches_committed_golden(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
         code = main([
             "run", "--input", str(DATA / "golden_input.tsv"),
             *RUN_FLAGS, "--k", "3", "--output", str(out),
         ])
         assert code == 0
+        summary = SUMMARY.fullmatch(capsys.readouterr().err.strip())
+        assert summary and summary.group(1) == "4"
         assert out.read_bytes() == (DATA / "golden_run.jsonl").read_bytes()
 
     def test_missing_input_is_config_error(self, capsys):
         code = main(["run", "--input", "/no/such/file", *RUN_FLAGS])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cause", ["directory", "permission"])
+    def test_unopenable_input_is_config_error(self, cause, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "in.tsv"
+        if cause == "directory":
+            path.mkdir()
+        else:
+            # A mode change cannot deny a superuser, so refuse the open itself.
+            def refuse(file, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(file))
+
+            monkeypatch.setattr(tensorsplice.cli, "open", refuse, raising=False)
+        code = main(["run", "--input", str(path), *RUN_FLAGS])
+        assert code == 3
+        assert f"error: [Errno {21 if cause == 'directory' else 13}]" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_ingest_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes("a\tb\t100\t1\ncaf\xe9\tb\t100\t1\n".encode("latin-1"))
+        code = main(["run", "--input", str(bad), *RUN_FLAGS])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: input is not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "line, flags, code, message",
+        [
+            ("a\tb\t100\tnan", [], 2, "line 1"),
+            ("a\tb\t100\tinf", [], 2, "line 1"),
+            ("a\tb\tnan\t1", [], 2, "line 1"),
+            ("a\tb\tinf\t1", [], 2, "line 1"),
+            ("a\tb\t100\t1", ["--stride", "1e-320"], 2, "line 1"),
+            ("a\tb\t100\t1", ["--t0", "nan"], 3, "t0 must be finite"),
+            ("a\tb\t100\t1", ["--stride", "inf"], 3, "stride must be positive"),
+        ],
+        ids=["value-nan", "value-inf", "time-nan", "time-inf", "bin-overflow",
+             "t0-nan", "stride-inf"],
+    )
+    def test_non_finite_numbers_end_with_exit_code(self, tmp_path, line, flags, code, message):
+        stream = tmp_path / "in.tsv"
+        stream.write_text(line + "\n")
+        result = cli("run", "--input", str(stream), *RUN_FLAGS, *flags)
+        assert result.returncode == code
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Infinity" not in result.stdout and "NaN" not in result.stdout
 
     def test_malformed_line_aborts_with_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -60,6 +117,7 @@ class TestRun:
         assert result.returncode == 0
         assert "default 10" in result.stdout  # k
         assert "default 5" in result.stdout  # l and sweep cap
+        assert "--workers" not in result.stdout
 
     def test_schema_string_on_every_line(self, tmp_path):
         out = tmp_path / "run.jsonl"
@@ -72,13 +130,15 @@ class TestRun:
 
 
 class TestOracle:
-    def test_same_schema_as_run(self, tmp_path):
+    def test_same_schema_as_run(self, tmp_path, capsys):
         out = tmp_path / "oracle.jsonl"
         code = main([
             "oracle", "--input", str(DATA / "golden_input.tsv"),
             *RUN_FLAGS, "--k", "3", "--output", str(out),
         ])
         assert code == 0
+        summary = SUMMARY.fullmatch(capsys.readouterr().err.strip())
+        assert summary and summary.group(1) == "4" and summary.group(3) == "0.000"
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         for step, line in enumerate(lines):

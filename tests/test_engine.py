@@ -14,7 +14,12 @@ from tensorsplice import (
     run_stream,
     step,
 )
+from tensorsplice.cli import iter_rerun_outputs
 from conftest import family_violations, ordered_pair
+
+# Both consumers of the shared bin partition: the tracking engine and the
+# full re-detection baseline.
+STREAM_CONSUMERS = (run_stream, iter_rerun_outputs)
 
 
 def slice_for(bin_: int, entries: dict, n_modes: int = 3) -> TensorSlice:
@@ -40,7 +45,6 @@ class TestStep:
         assert state.retained == expected
         assert out.top_k == expected[: CFG.k]
         assert state.frontier == 1 and state.step_counter == 1
-        assert state.total_nnz == len(entries)
 
     def test_rejects_wrong_window(self):
         state = EngineState.initial()
@@ -132,23 +136,27 @@ class TestStep:
 class TestRunStream:
     def test_two_bins_two_outputs(self):
         events = [Event((0, 0, 0), 2), Event((0, 1, 0), 1), Event((1, 1, 1), 3)]
-        outputs = list(run_stream(events, CFG))
-        assert [o.step_index for o in outputs] == [0, 1]
-        assert [o.time_range for o in outputs] == [(0, 1), (1, 2)]
+        for consume in STREAM_CONSUMERS:
+            outputs = list(consume(events, CFG))
+            assert [o.step_index for o in outputs] == [0, 1], consume.__name__
+            assert [o.time_range for o in outputs] == [(0, 1), (1, 2)], consume.__name__
 
     def test_gap_bin_emits_unchanged_output(self):
         events = [Event((0, 0, 0), 5), Event((1, 1, 2), 4)]
-        outputs = list(run_stream(events, CFG))
-        assert len(outputs) == 3
-        assert outputs[1].top_k == outputs[0].top_k
+        for consume in STREAM_CONSUMERS:
+            outputs = list(consume(events, CFG))
+            assert len(outputs) == 3, consume.__name__
+            assert outputs[1].top_k == outputs[0].top_k, consume.__name__
 
     def test_empty_stream_yields_nothing(self):
-        assert list(run_stream([], CFG)) == []
+        for consume in STREAM_CONSUMERS:
+            assert list(consume([], CFG)) == [], consume.__name__
 
     def test_time_regression_rejected(self):
         events = [Event((0, 0, 1), 1), Event((0, 0, 0), 1)]
-        with pytest.raises(TimeRegression):
-            list(run_stream(events, CFG))
+        for consume in STREAM_CONSUMERS:
+            with pytest.raises(TimeRegression):
+                list(consume(events, CFG))
 
     def test_planted_block_reported_from_first_full_stride(self):
         rng = random.Random(17)

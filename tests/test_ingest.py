@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 
@@ -76,11 +77,16 @@ class TestParsing:
             parse_all(["a,b,noon"], csv_cfg())
 
     def test_skip_policy_keeps_going(self, caplog):
-        lines = ["a,b,100,1", "broken", "c,d,160,-1", "e,f,170,2"]
+        lines = [
+            "a,b,100,1", "broken", "c,d,160,-1", "e,f,170,2",
+            "g,h,180,nan", "g,h,180,inf", "g,h,nan,1", "g,h,-inf,1",
+        ]
         with caplog.at_level(logging.WARNING):
             events, _ = parse_all(lines, csv_cfg(value_col=3, on_error="skip"))
         assert len(events) == 2
-        assert "line 2" in caplog.text and "line 3" in caplog.text
+        for lineno in range(2, 9):
+            if lineno != 4:
+                assert f"line {lineno}:" in caplog.text
 
     def test_extra_columns_ignored(self):
         events, _ = parse_all(["a,b,100,junk,more"], csv_cfg())
@@ -115,8 +121,12 @@ class TestConfigValidation:
             IngestConfig(mode_cols=(0, 2), time_col=2, stride=1)
 
     def test_bad_stride(self):
-        with pytest.raises(ConfigError):
-            IngestConfig(mode_cols=(0, 1), time_col=2, stride=0)
+        for stride in (0, -1, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                IngestConfig(mode_cols=(0, 1), time_col=2, stride=stride)
+        for t0 in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                IngestConfig(mode_cols=(0, 1), time_col=2, stride=1, t0=t0)
 
     def test_bad_policy(self):
         with pytest.raises(ConfigError):

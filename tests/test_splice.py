@@ -8,13 +8,20 @@ from tensorsplice import (
     DegenerateBlock,
     PreconditionViolated,
     ShapeMismatch,
-    empty_q_step,
-    enumerate_candidates,
-    required_new_modes,
     splice_condition,
     splice_pair,
 )
-from conftest import family_violations, mk, ordered_pair, random_block
+from conftest import (
+    empty_q_step,
+    enumerate_candidates,
+    family_violations,
+    mk,
+    new_id_count,
+    ordered_pair,
+    random_block,
+    reference_splice,
+    required_new_modes,
+)
 
 
 class TestSpliceCondition:
@@ -44,71 +51,55 @@ class TestRequiredNewModes:
     def test_disjoint_only_on_time(self):
         b1 = mk({(1, 5, 0): 1, (2, 5, 0): 1})
         b2 = mk({(1, 5, 1): 1})
-        report = required_new_modes(b1, b2)
-        assert report.q_modes == (2,)
-        assert report.q_size == 1
+        assert required_new_modes(b1, b2) == (2,)
 
     def test_full_overlap(self):
         b1 = mk({(1, 5, 0): 1})
         b2 = mk({(1, 5, 0): 2})
-        assert required_new_modes(b1, b2).q_modes == ()
+        assert required_new_modes(b1, b2) == ()
 
     def test_disjoint_everywhere(self):
         b1 = mk({(0, 0, 0): 1})
         b2 = mk({(1, 1, 1): 1})
-        assert required_new_modes(b1, b2).q_modes == (0, 1, 2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            required_new_modes(mk({(0, 0, 0): 1}), Block(4, {(0, 0, 0, 0): 1}))
+        assert required_new_modes(b1, b2) == (0, 1, 2)
 
 
 class TestEnumerateCandidates:
     def test_two_time_candidates_ordered_by_mass(self):
         b1 = mk({(0, 0, 0): 4, (1, 1, 0): 4})
         b2 = mk({(0, 0, 1): 3, (1, 1, 2): 5})
-        heap = enumerate_candidates(b1, b2, required_new_modes(b1, b2))
-        assert len(heap) == 2
-        first = heap.pop()
-        second = heap.pop()
-        assert first.block.mass == 5 and first.new_ids == (2,)
-        assert second.block.mass == 3 and second.new_ids == (1,)
-        assert first.q_total == second.q_total == 1
+        cands = enumerate_candidates(b1, b2, required_new_modes(b1, b2))
+        assert [(ids, block.mass) for ids, block in cands] == [((2,), 5), ((1,), 3)]
+        assert [new_id_count(block, b1) for _, block in cands] == [1, 1]
 
     def test_no_overlapping_support_means_empty_heap(self):
         # Time is the only forced mode, but every donor entry carries an
         # unseen user or object id, so nothing survives the filter.
         b1 = mk({(0, 0, 0): 4})
         b2 = mk({(0, 8, 1): 3, (9, 0, 2): 5})
-        report = required_new_modes(b1, b2)
-        assert report.q_modes == (2,)
-        heap = enumerate_candidates(b1, b2, report)
-        assert len(heap) == 0
+        q_modes = required_new_modes(b1, b2)
+        assert q_modes == (2,)
+        assert enumerate_candidates(b1, b2, q_modes) == []
 
     def test_combination_count_bounded_by_product(self):
         b1 = mk({(0, 0, 0): 4})
         b2 = mk(
             {(0, 5, 1): 1, (0, 6, 1): 1, (0, 5, 2): 1, (0, 6, 2): 1},
         )  # two new o ids x two new t ids
-        heap = enumerate_candidates(b1, b2, required_new_modes(b1, b2))
-        assert len(heap) <= 4
+        assert len(enumerate_candidates(b1, b2, required_new_modes(b1, b2))) <= 4
 
     def test_new_index_counts_recomputable(self):
+        # Each candidate adds exactly one id on every forced mode and none
+        # elsewhere, so its new-id count is the number of forced modes.
         b1 = mk({(0, 0, 0): 4, (1, 1, 0): 4})
         b2 = mk({(0, 0, 1): 3, (1, 0, 2): 5})
-        heap = enumerate_candidates(b1, b2, required_new_modes(b1, b2))
-        while heap:
-            cand = heap.pop()
-            expected = tuple(
-                len(cand.block.index_sets[m] - b1.index_sets[m]) for m in range(3)
-            )
-            assert cand.new_index_counts == expected
-            assert cand.q_total == sum(expected)
-
-    def test_requires_forced_modes(self):
-        b1 = mk({(0, 0, 0): 1})
-        with pytest.raises(ValueError):
-            enumerate_candidates(b1, b1, required_new_modes(b1, b1))
+        q_modes = required_new_modes(b1, b2)
+        cands = enumerate_candidates(b1, b2, q_modes)
+        assert cands
+        for _, block in cands:
+            counts = [len(block.index_sets[m] - b1.index_sets[m]) for m in range(3)]
+            assert counts == [int(m in q_modes) for m in range(3)]
+            assert new_id_count(block, b1) == len(q_modes)
 
 
 class TestEmptyQStep:
@@ -152,10 +143,6 @@ class TestEmptyQStep:
         assert r1.entries == {(0, 0, 0): 12, (0, 7, 0): 7}
         assert r1.density == pytest.approx(19 / 4)
         assert (0, 7, 0) not in r2.entries
-
-    def test_requires_overlap_everywhere(self):
-        with pytest.raises(PreconditionViolated):
-            empty_q_step(mk({(0, 0, 0): 5}), mk({(0, 0, 1): 1}))
 
 
 class TestSplicePair:
@@ -281,43 +268,17 @@ class TestSplicePair:
                 assert after > before
 
 
-def reference_splice(b1, b2):
-    """Literal loop over the public one-shot operations; the production
-    splicer must land on exactly the same pair of blocks."""
-    from tensorsplice.splice import new_id_count
-
-    while not b2.is_empty:
-        updated = False
-        report = required_new_modes(b1, b2)
-        if not report.q_modes:
-            donor_nnz = b2.nnz
-            b1, b2, _ = empty_q_step(b1, b2)
-            updated = b2.nnz != donor_nnz
-        else:
-            heap = enumerate_candidates(b1, b2, report)
-            while heap:
-                cand = heap.pop()
-                q_now = new_id_count(cand.block, b1)
-                if cand.block.mass * b1.size > q_now * b1.mass:
-                    b1 = b1.union_with(cand.block)
-                    b2 = b2.subtract(cand.block)
-                    updated = True
-                else:
-                    break
-        if not updated:
-            break
-    return b1, b2
-
-
 def test_splice_pair_matches_one_shot_reference():
     rng = random.Random(61)
-    for trial in range(300):
-        a, b = ordered_pair(
-            random_block(rng, max_entries=10), random_block(rng, max_entries=10)
-        )
-        got = splice_pair(a, b)
-        want = reference_splice(a, b)
-        assert got == want, f"trial {trial}: {got} != {want}"
+    for n_modes in (3, 4):
+        for trial in range(300):
+            a, b = ordered_pair(
+                random_block(rng, n_modes=n_modes, max_entries=10),
+                random_block(rng, n_modes=n_modes, max_entries=10),
+            )
+            got = splice_pair(a, b)
+            want = reference_splice(a, b)
+            assert got == want, f"{n_modes} modes, trial {trial}: {got} != {want}"
 
 
 def test_theorem_equivalence_randomized():
