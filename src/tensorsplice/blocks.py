@@ -46,14 +46,13 @@ class TensorSlice:
     the slice covers; streaming slices always span exactly one bin.
     """
 
-    __slots__ = ("n_modes", "entries", "mode_index_sets", "time_range")
+    __slots__ = ("n_modes", "entries", "time_range")
 
     def __init__(self, n_modes: int, time_range: tuple[int, int]):
         if n_modes < 2:
             raise ValueError("a slice needs at least two modes")
         self.n_modes = n_modes
         self.entries: dict[Key, int | float] = {}
-        self.mode_index_sets: list[set[int]] = [set() for _ in range(n_modes)]
         self.time_range = time_range
 
     def add(self, event: Event) -> None:
@@ -66,8 +65,6 @@ class TensorSlice:
             raise ValueError("slice entries must have positive finite values")
         key = tuple(event.ids)
         self.entries[key] = self.entries.get(key, 0) + event.value
-        for mode, idx in enumerate(key):
-            self.mode_index_sets[mode].add(idx)
 
     @property
     def nnz(self) -> int:

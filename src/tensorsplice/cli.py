@@ -9,7 +9,8 @@ Subcommands:
 * ``evaluate``  run the engine on a generated stream and score it
 * ``scale``     runtime-vs-size measurements for engine and baseline
 
-Exit codes: 0 on success, 2 when the input is bad (a malformed or
+Exit codes: 0 on success, 1 when stdout is closed before all output is
+written (quietly, for ``| head``), 2 when the input is bad (a malformed or
 non-finite field, a timestamp out of order, bytes that are not UTF-8),
 3 on configuration errors, including a file that cannot be opened.
 Detection output never contains wall-clock numbers, so a fixed input and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Iterable, Iterator, TextIO
@@ -362,7 +364,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at the null device
+        # so the interpreter's final flush cannot fail again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (
         ConfigError, DensityInfeasible,
         FileNotFoundError, IsADirectoryError, PermissionError,

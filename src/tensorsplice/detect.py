@@ -6,9 +6,25 @@ sits at or below the block's current density (mass/size); if none qualifies
 the single lightest id goes, so a round always makes progress. The densest
 state seen across all rounds is returned, earliest state winning ties.
 
-The detector repeats runs, subtracting each result from the working copy,
-so the returned blocks are entry-disjoint. They come back ordered by
-non-increasing density.
+The detector repeats runs on what the earlier runs left, so the returned
+blocks are entry-disjoint. They come back ordered by non-increasing density.
+
+A detect call indexes the slice once (a ``PeelIndex``): the remaining
+entries, per-mode id masses and entry counts, postings from each id to its
+entry keys, and per-mode ``(mass, id)`` heaps. Every run peels cheap
+copies of the counters and heaps and shares the postings read-only; a key
+already peeled is skipped because it is gone from the run's entry dict.
+After a run, the found block's entries leave the index, and each id the
+block touched has its postings, count and mass recomputed from its
+remaining entries, with one fresh heap record; outdated records are
+skipped lazily.
+
+The result is exactly that of indexing the remainder from scratch before
+every run. Postings keep entry order, and an id's mass is summed over its
+entries in that order, so float masses match bit for bit. Heap records
+order by ``(mass, id)`` and modes by index, so the removal order, the tie
+breaks and the densest-prefix choice do not depend on how records were
+pushed.
 """
 
 from __future__ import annotations
@@ -32,112 +48,163 @@ class DetectParams:
             raise ValueError("num_blocks must be at least 1")
 
 
-def mode_masses(block: Block) -> list[dict[int, int | float]]:
-    """Per-mode map from id to the summed value of entries holding that id."""
-    out: list[dict] = [{} for _ in range(block.n_modes)]
-    for key, value in block.entries.items():
-        for mode, idx in enumerate(key):
-            out[mode][idx] = out[mode].get(idx, 0) + value
-    return out
+class PeelIndex:
+    """The remaining tensor of one detect call, indexed for peeling.
+
+    An id is live while it has an entry in ``masses``; ``postings`` lists
+    exactly the live keys of each live id, in entry order.
+    """
+
+    __slots__ = ("n_modes", "entries", "masses", "counts", "postings", "heaps")
+
+    def __init__(self, n_modes: int, entries: dict):
+        # ``entries`` is not copied: ``remove`` deletes from it.
+        self.n_modes = n_modes
+        self.entries = entries
+        self.masses: list[dict] = []
+        self.counts: list[dict[int, int]] = []
+        self.postings: list[dict[int, list]] = []
+        self.heaps: list[list] = []
+        for mode in range(n_modes):
+            masses: dict = {}
+            postings: dict[int, list] = {}
+            for key, value in entries.items():
+                idx = key[mode]
+                masses[idx] = masses.get(idx, 0) + value
+                keys = postings.get(idx)
+                if keys is None:
+                    postings[idx] = [key]
+                else:
+                    keys.append(key)
+            heap = [(mass, idx) for idx, mass in masses.items()]
+            heapq.heapify(heap)
+            self.masses.append(masses)
+            self.counts.append({idx: len(keys) for idx, keys in postings.items()})
+            self.postings.append(postings)
+            self.heaps.append(heap)
+
+    def remove(self, block: Block) -> None:
+        """Delete a block's entries and re-index every id they touched."""
+        entries = self.entries
+        touched: list[dict[int, None]] = [{} for _ in range(self.n_modes)]
+        for key in block.entries:
+            del entries[key]
+            for mode, idx in enumerate(key):
+                touched[mode][idx] = None
+        for mode, ids in enumerate(touched):
+            masses = self.masses[mode]
+            counts = self.counts[mode]
+            postings = self.postings[mode]
+            heap = self.heaps[mode]
+            for idx in ids:
+                live = [key for key in postings[idx] if key in entries]
+                if not live:
+                    del masses[idx], counts[idx], postings[idx]
+                    continue
+                mass = 0
+                for key in live:
+                    mass = mass + entries[key]
+                postings[idx] = live
+                counts[idx] = len(live)
+                masses[idx] = mass
+                heapq.heappush(heap, (mass, idx))
 
 
-def peel_once(working: Block) -> Block:
+def peel_once(working: Block | PeelIndex) -> Block:
     """One greedy run: return the densest intermediate state of the peel.
 
-    Comparisons are done cross-multiplied (mass_a * size_b vs mass_b *
-    size_a), which is exact for integer-valued blocks and avoids float
-    tie instability.
+    ``working`` is left unchanged. Comparisons are done cross-multiplied
+    (mass_a * size_b vs mass_b * size_a), which is exact for integer-valued
+    blocks and avoids float tie instability.
     """
-    if working.nnz == 0:
+    if isinstance(working, Block):
+        working = PeelIndex(working.n_modes, working.entries)
+    if not working.entries:
         raise ValueError("cannot peel an empty block")
     n = working.n_modes
     entries = dict(working.entries)
-    masses = mode_masses(working)
-    counts: list[dict[int, int]] = [{} for _ in range(n)]
-    postings: list[dict[int, list]] = [{} for _ in range(n)]
-    for key in entries:
-        for mode, idx in enumerate(key):
-            counts[mode][idx] = counts[mode].get(idx, 0) + 1
-            postings[mode].setdefault(idx, []).append(key)
-    alive = [set(d) for d in masses]
-    heaps = [[(mass, idx) for idx, mass in masses[m].items()] for m in range(n)]
-    for h in heaps:
-        heapq.heapify(h)
+    masses = [dict(d) for d in working.masses]
+    counts = [dict(d) for d in working.counts]
+    heaps = [list(h) for h in working.heaps]
+    postings = working.postings
+    # Per mode, the (mode, masses, counts, heap) of every other mode.
+    others = [
+        [(o, masses[o], counts[o], heaps[o]) for o in range(n) if o != mode]
+        for mode in range(n)
+    ]
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    total = working.mass
-    size = working.size
+    total = sum(entries.values())
+    size = sum(map(len, masses))
     best_mass, best_size, best_cut = total, size, 0
     removal_log: list = []
 
-    def fresh_top(mode):
-        # Drop stale heap records (dead ids, superseded masses) lazily.
-        h = heaps[mode]
-        while h:
-            mass, idx = h[0]
-            if idx in alive[mode] and mass == masses[mode][idx]:
-                return h[0]
-            heapq.heappop(h)
-        return None
-
     while entries:
+        # Lightest live id over all modes; stale heap records (dead ids,
+        # superseded masses) are dropped on the way.
         pick = None
         for mode in range(n):
-            top = fresh_top(mode)
-            if top is not None:
-                cand = (top[0], mode, top[1])
-                if pick is None or cand < pick:
-                    pick = cand
+            h = heaps[mode]
+            live = masses[mode]
+            while h:
+                mass, idx = h[0]
+                if live.get(idx) == mass:
+                    cand = (mass, mode, idx)
+                    if pick is None or cand < pick:
+                        pick = cand
+                    break
+                heappop(h)
         if pick is None:
             break
         mode = pick[1]
         h = heaps[mode]
+        live = masses[mode]
         doomed: list[int] = []
-        while True:
-            top = fresh_top(mode)
-            if top is None:
-                break
-            mass, idx = top
-            if mass * size <= total:  # mass <= total/size, round-start total/size
-                heapq.heappop(h)
-                alive[mode].discard(idx)
+        while h:  # h[0] starts out fresh, from the pick above
+            mass, idx = h[0]
+            if live.get(idx) != mass:
+                heappop(h)
+            elif mass * size <= total:  # mass <= total/size, round-start total/size
+                heappop(h)
+                del live[idx]
                 doomed.append(idx)
             else:
                 break
         if not doomed:
             # Nothing at or below average: drop the single lightest id so
             # the peel always terminates.
-            _, idx = heapq.heappop(h)
-            alive[mode].discard(idx)
+            _, idx = heappop(h)
+            del live[idx]
             doomed = [idx]
 
+        mode_postings = postings[mode]
+        other_modes = others[mode]
         for idx in doomed:
             size -= 1
-            for key in postings[mode][idx]:
+            for key in mode_postings[idx]:
                 value = entries.pop(key, None)
                 if value is None:
                     continue
                 total -= value
                 removal_log.append(key)
-                for other in range(n):
-                    if other == mode:
-                        continue
+                for other, other_masses, other_counts, other_heap in other_modes:
                     oid = key[other]
-                    if oid not in alive[other]:
-                        continue
-                    masses[other][oid] -= value
-                    counts[other][oid] -= 1
-                    if counts[other][oid] == 0:
-                        alive[other].discard(oid)
-                        size -= 1
+                    left = other_counts[oid] - 1
+                    if left:
+                        other_counts[oid] = left
+                        mass = other_masses[oid] - value
+                        other_masses[oid] = mass
+                        heappush(other_heap, (mass, oid))
                     else:
-                        heapq.heappush(heaps[other], (masses[other][oid], oid))
+                        del other_counts[oid], other_masses[oid]
+                        size -= 1
 
         if size > 0 and total * best_size > best_mass * size:
             best_mass, best_size, best_cut = total, size, len(removal_log)
 
     removed = set(removal_log[:best_cut])
     snapshot = {k: v for k, v in working.entries.items() if k not in removed}
-    return Block._adopt(working.n_modes, snapshot)
+    return Block._adopt(n, snapshot)
 
 
 def detect_top_blocks(source: TensorSlice, params: DetectParams) -> list[Block]:
@@ -146,12 +213,15 @@ def detect_top_blocks(source: TensorSlice, params: DetectParams) -> list[Block]:
         raise ShapeMismatch(
             f"source has {source.n_modes} modes, params expect {params.n_modes}"
         )
-    working = source.to_block()
+    index = PeelIndex(source.n_modes, dict(source.entries))
     found: list[Block] = []
-    while len(found) < params.num_blocks and working.nnz:
-        block = peel_once(working)
+    while index.entries:
+        # Looked up as a module global on every run, so wrappers see each one.
+        block = peel_once(index)
         found.append(block)
-        working = working.subtract(block)
+        if len(found) == params.num_blocks:
+            break
+        index.remove(block)
     # Stable sort: equal densities keep discovery order.
     found.sort(key=lambda b: -(b.mass / b.size))
     return found

@@ -25,18 +25,22 @@ class OutOfOrderSlice(TensorSpliceError):
     """A slice arrived whose window does not continue the engine frontier."""
 
 
-class TimeRegression(TensorSpliceError):
-    """An event's time bin precedes data that was already processed."""
-
-
-class IngestError(TensorSpliceError):
-    """Line-level ingestion failure; remembers the 1-based line number."""
+class _LineError(TensorSpliceError):
+    """An error that may know the 1-based input line it arose on."""
 
     def __init__(self, message: str, lineno: int | None = None):
         if lineno is not None:
             message = f"line {lineno}: {message}"
         super().__init__(message)
         self.lineno = lineno
+
+
+class TimeRegression(_LineError):
+    """An event's time bin precedes data that was already processed."""
+
+
+class IngestError(_LineError):
+    """Line-level ingestion failure; remembers the 1-based line number."""
 
 
 class MalformedLine(IngestError):

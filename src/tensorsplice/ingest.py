@@ -21,7 +21,13 @@ from typing import Iterable, Iterator
 
 from .blocks import Block, Event
 from .engine import StepOutput
-from .errors import BadTimestamp, ConfigError, MalformedLine, NegativeValue
+from .errors import (
+    BadTimestamp,
+    ConfigError,
+    MalformedLine,
+    NegativeValue,
+    TimeRegression,
+)
 
 log = logging.getLogger(__name__)
 
@@ -161,7 +167,8 @@ def parse_tuples(
 
     Dictionaries extend as unseen raw values appear. Zero-valued tuples
     are dropped. Under ``on_error="skip"`` bad lines are logged and
-    skipped instead of aborting.
+    skipped instead of aborting; a time bin below that of an earlier
+    yielded tuple raises ``TimeRegression`` under either policy.
     """
     needed = max(
         (*cfg.mode_cols, cfg.time_col, *cfg.binned_cols),
@@ -170,6 +177,7 @@ def parse_tuples(
     if cfg.value_col is not None:
         needed = max(needed, cfg.value_col)
     t0 = cfg.t0
+    last_bin = 0  # highest time bin yielded so far
     warned_extra = False
     for lineno, raw_line in enumerate(lines, 1):
         if cfg.has_header and lineno == 1:
@@ -202,11 +210,20 @@ def parse_tuples(
                 extra_ts = _parse_timestamp(parts[col], cfg.time_format, lineno)
                 ids.append(_time_bin(extra_ts, t0, cfg.stride, lineno, parts[col], col))
             ids.append(time_bin)
-            yield Event(tuple(ids), value)
         except (MalformedLine, BadTimestamp, NegativeValue) as exc:
             if cfg.on_error == "abort":
                 raise
             log.warning("skipping %s", exc)
+            continue
+        if time_bin < last_bin:
+            # Ends the run under either error policy: the bins before this
+            # one may already have been processed.
+            raise TimeRegression(
+                f"time bin {time_bin} precedes bin {last_bin} of an earlier line",
+                lineno,
+            )
+        last_bin = time_bin
+        yield Event(tuple(ids), value)
 
 
 def _sig12(x: float) -> float:

@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import heapq
 import random
 import sys
 from fractions import Fraction
@@ -75,6 +76,121 @@ def brute_force_best_density(block: Block) -> Fraction:
         if density > best:
             best = density
     return best
+
+
+# ---------------------------------------------------------------------------
+# Detector oracle: every peel run indexes its block from scratch, and each
+# found block is subtracted with the public Block operation. The production
+# detector indexes a slice once per call and must return the same blocks.
+
+
+def mode_masses(block: Block) -> list[dict]:
+    """Per-mode map from id to the summed value of entries holding that id."""
+    out: list[dict] = [{} for _ in range(block.n_modes)]
+    for key, value in block.entries.items():
+        for mode, idx in enumerate(key):
+            out[mode][idx] = out[mode].get(idx, 0) + value
+    return out
+
+
+def reference_peel(working: Block) -> Block:
+    """One greedy run over a freshly indexed block, densest prefix wins."""
+    n = working.n_modes
+    entries = dict(working.entries)
+    masses = mode_masses(working)
+    counts: list[dict] = [{} for _ in range(n)]
+    postings: list[dict] = [{} for _ in range(n)]
+    for key in entries:
+        for mode, idx in enumerate(key):
+            counts[mode][idx] = counts[mode].get(idx, 0) + 1
+            postings[mode].setdefault(idx, []).append(key)
+    alive = [set(d) for d in masses]
+    heaps = [[(mass, idx) for idx, mass in masses[m].items()] for m in range(n)]
+    for h in heaps:
+        heapq.heapify(h)
+
+    total = working.mass
+    size = working.size
+    best_mass, best_size, best_cut = total, size, 0
+    removal_log: list = []
+
+    def fresh_top(mode):
+        h = heaps[mode]
+        while h:
+            mass, idx = h[0]
+            if idx in alive[mode] and mass == masses[mode][idx]:
+                return h[0]
+            heapq.heappop(h)
+        return None
+
+    while entries:
+        pick = None
+        for mode in range(n):
+            top = fresh_top(mode)
+            if top is not None:
+                cand = (top[0], mode, top[1])
+                if pick is None or cand < pick:
+                    pick = cand
+        if pick is None:
+            break
+        mode = pick[1]
+        h = heaps[mode]
+        doomed: list = []
+        while True:
+            top = fresh_top(mode)
+            if top is None:
+                break
+            mass, idx = top
+            if mass * size <= total:
+                heapq.heappop(h)
+                alive[mode].discard(idx)
+                doomed.append(idx)
+            else:
+                break
+        if not doomed:
+            _, idx = heapq.heappop(h)
+            alive[mode].discard(idx)
+            doomed = [idx]
+
+        for idx in doomed:
+            size -= 1
+            for key in postings[mode][idx]:
+                value = entries.pop(key, None)
+                if value is None:
+                    continue
+                total -= value
+                removal_log.append(key)
+                for other in range(n):
+                    if other == mode:
+                        continue
+                    oid = key[other]
+                    if oid not in alive[other]:
+                        continue
+                    masses[other][oid] -= value
+                    counts[other][oid] -= 1
+                    if counts[other][oid] == 0:
+                        alive[other].discard(oid)
+                        size -= 1
+                    else:
+                        heapq.heappush(heaps[other], (masses[other][oid], oid))
+
+        if size > 0 and total * best_size > best_mass * size:
+            best_mass, best_size, best_cut = total, size, len(removal_log)
+
+    removed = set(removal_log[:best_cut])
+    return Block(n, {k: v for k, v in working.entries.items() if k not in removed})
+
+
+def reference_detect(working: Block, num_blocks: int) -> list[Block]:
+    """Up to ``num_blocks`` peel results, each subtracted before the next
+    run, densest first with discovery order breaking ties."""
+    found: list[Block] = []
+    while len(found) < num_blocks and working.nnz:
+        block = reference_peel(working)
+        found.append(block)
+        working = working.subtract(block)
+    found.sort(key=lambda b: -(b.mass / b.size))
+    return found
 
 
 # ---------------------------------------------------------------------------

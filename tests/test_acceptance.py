@@ -17,6 +17,7 @@ import pytest
 from tensorsplice import (
     DetectParams,
     EngineConfig,
+    Event,
     IngestConfig,
     InjectionSpec,
     ModeDictionary,
@@ -123,9 +124,7 @@ def test_criterion_4_detector_brute_force_bound():
         block = random_block(rng, max_id=3, max_entries=12)
         slice_ = TensorSlice(3, (0, 1))
         for key, value in block.entries.items():
-            slice_.entries[key] = value
-            for mode, idx in enumerate(key):
-                slice_.mode_index_sets[mode].add(idx)
+            slice_.add(Event(key, value))
         found = detect_top_blocks(slice_, DetectParams(1, 3))
         got = Fraction(found[0].mass, found[0].size)
         best = brute_force_best_density(block)

@@ -102,6 +102,35 @@ class TestRun:
         assert "Traceback" not in result.stderr
         assert "Infinity" not in result.stdout and "NaN" not in result.stdout
 
+    @pytest.mark.parametrize("policy", ["abort", "skip"])
+    def test_backwards_time_bin_names_its_line(self, tmp_path, policy):
+        stream = tmp_path / "in.tsv"
+        stream.write_text("a\tb\t100\t1\na\tb\t0\t1\n")
+        result = cli("run", "--input", str(stream), *RUN_FLAGS,
+                     "--stride", "50", "--on-error", policy)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: line 2: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, *(["-u"] if unbuffered else []),
+                 "-m", "tensorsplice.cli", "run",
+                 "--input", str(DATA / "golden_input.tsv"), *RUN_FLAGS],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=subprocess_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == ""
+
     def test_malformed_line_aborts_with_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("a\tb\t100\t1\nbroken\n")

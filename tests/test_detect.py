@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorsplice import (
     Block,
@@ -10,10 +12,16 @@ from tensorsplice import (
     ShapeMismatch,
     TensorSlice,
     detect_top_blocks,
-    mode_masses,
     peel_once,
 )
-from conftest import brute_force_best_density, mk, random_block
+from tensorsplice.detect import PeelIndex
+from conftest import (
+    brute_force_best_density,
+    mk,
+    mode_masses,
+    random_block,
+    reference_detect,
+)
 
 
 def slice_of(entries: dict, n_modes: int = 3) -> TensorSlice:
@@ -128,3 +136,54 @@ def test_greedy_meets_half_of_brute_force():
         found = detect_top_blocks(slice_of(block.entries), DetectParams(1, 3))
         got = Fraction(found[0].mass, found[0].size)
         assert 2 * got >= brute_force_best_density(block)
+
+
+# Values for the equivalence properties: integers, floats whose sums round
+# differently in different orders, and a single value that ties most masses.
+VALUES = {
+    "int": st.integers(1, 9),
+    "float": st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 3.3, 1e16]),
+    "tie": st.just(1),
+}
+
+
+@st.composite
+def tensors(draw):
+    n_modes = draw(st.integers(2, 4))
+    values = VALUES[draw(st.sampled_from(sorted(VALUES)))]
+    max_id = draw(st.integers(1, 5))
+    cells = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, max_id)] * n_modes), values),
+        min_size=1, max_size=40,
+    ))
+    s = TensorSlice(n_modes, (0, 1))
+    for key, value in cells:
+        s.add(Event(key, value))
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=tensors(), num_blocks=st.integers(1, 8))
+def test_detector_matches_rebuilding_reference(source, num_blocks):
+    got = detect_top_blocks(source, DetectParams(num_blocks, source.n_modes))
+    want = reference_detect(source.to_block(), num_blocks)
+    assert got == want
+    assert [b.mass for b in got] == [b.mass for b in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=tensors())
+def test_index_after_removal_matches_fresh_index(source):
+    # After each run's block is removed, the kept index must equal one
+    # built from scratch on what is left, float masses bit for bit.
+    index = PeelIndex(source.n_modes, dict(source.entries))
+    while index.entries:
+        index.remove(peel_once(index))
+        fresh = PeelIndex(index.n_modes, dict(index.entries))
+        assert index.masses == fresh.masses
+        assert index.counts == fresh.counts
+        assert index.postings == fresh.postings
+        for kept, masses in zip(index.heaps, fresh.masses):
+            assert {(m, i) for m, i in kept if masses.get(i) == m} == {
+                (m, i) for i, m in masses.items()
+            }
