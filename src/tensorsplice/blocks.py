@@ -13,19 +13,27 @@ and ``density`` is their ratio. The mass cache is always computed from the
 entry dict the block holds, so recomputing it later from the same dict
 reproduces the cache bit for bit, including for float values.
 
-Blocks behave as values: operations return new instances and never mutate
-their arguments, so instances are safe to share across threads. Index sets
-are exposed sorted wherever iteration order can leak into output.
+Blocks behave as values: operations return new instances, and a block's
+entries, id sets and mass never change after construction. Each block also
+has a ``serial`` number, unique within the process, which the engine uses
+to remember pairs without keeping the blocks alive. A block may carry a
+private splice index (see ``splice.py``), which ``splice_pair`` builds on
+first use and moves to the block that replaces this one, so two threads
+must not splice the same block at once. Index sets are exposed sorted
+wherever iteration order can leak into output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBlock, NotASubblock, ShapeMismatch
+from .errors import DegenerateBlock, ShapeMismatch
 
 Key = tuple
+
+_serials = itertools.count()
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +95,7 @@ class Block:
     exist, positive finite values) hold for every instance.
     """
 
-    __slots__ = ("n_modes", "entries", "index_sets", "mass")
+    __slots__ = ("n_modes", "entries", "index_sets", "mass", "serial", "_index")
 
     def __init__(self, n_modes: int, entries: dict | None = None):
         self._init(n_modes, dict(entries) if entries else {}, validate=True)
@@ -108,6 +116,8 @@ class Block:
         self.entries = entries
         self.index_sets = index_sets
         self.mass = sum(entries.values())
+        self.serial = next(_serials)
+        self._index = None
         return self
 
     def _init(self, n_modes: int, entries: dict, validate: bool) -> None:
@@ -129,6 +139,8 @@ class Block:
         self.entries = entries
         self.index_sets = index_sets
         self.mass = sum(entries.values())
+        self.serial = next(_serials)
+        self._index = None
 
     @classmethod
     def empty(cls, n_modes: int) -> "Block":
@@ -168,27 +180,6 @@ class Block:
         for key, value in addition.entries.items():
             merged[key] = merged.get(key, 0) + value
         return Block._adopt(self.n_modes, merged)
-
-    def subtract(self, removal: "Block") -> "Block":
-        """Remove the given entries; ids left without support are pruned."""
-        if removal.n_modes != self.n_modes:
-            raise ShapeMismatch(
-                f"cannot subtract a {removal.n_modes}-mode block from "
-                f"a {self.n_modes}-mode block"
-            )
-        result = dict(self.entries)
-        for key, value in removal.entries.items():
-            present = result.get(key)
-            if present is None or value > present:
-                raise NotASubblock(
-                    f"entry {key!r} (value {value!r}) is not contained in the block"
-                )
-            left = present - value
-            if left > 0:
-                result[key] = left
-            else:
-                del result[key]
-        return Block._adopt(self.n_modes, result)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Block):

@@ -111,9 +111,9 @@ def step(
     detected_at = time.perf_counter()
 
     pool = list(state.retained) + incoming
-    # Sterile pairs are remembered by object identity; a productive splice
-    # returns fresh objects, so staleness cannot hide behind the memo.
-    sterile: dict[tuple[int, int], tuple[Block, Block]] = {}
+    # Sterile pairs are remembered by block serial; a productive splice
+    # returns fresh blocks, so staleness cannot hide behind the memo.
+    sterile: set[tuple[int, int]] = set()
     for _ in range(cfg.max_epochs):
         pool.sort(key=_order_key)
         changed = False
@@ -122,7 +122,7 @@ def step(
                 a, b = pool[i], pool[j]
                 if a.is_empty or b.is_empty:
                     continue
-                pair_key = (id(a), id(b))
+                pair_key = (a.serial, b.serial)
                 if pair_key in sterile:
                     continue
                 if _denser_first(a, b):
@@ -137,7 +137,7 @@ def step(
                     changed = True
                     pool[i], pool[j] = a, b
                 else:
-                    sterile[pair_key] = (a, b)
+                    sterile.add(pair_key)
         pool = [blk for blk in pool if not blk.is_empty]
         if not changed:
             break

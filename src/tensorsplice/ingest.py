@@ -136,12 +136,12 @@ def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
         raise BadTimestamp(f"not an ISO-8601 timestamp: {raw!r}", lineno) from None
 
 
-def _time_bin(ts, t0, stride, lineno: int, raw: str, binned_col=None) -> int:
+def _time_bin(ts, t0, stride, lineno: int, raw: str, origin: str, binned_col=None) -> int:
     offset = (ts - t0) / stride
     if 0 <= offset < math.inf:  # finite inputs can still overflow the quotient
         return math.floor(offset)
     what = f"timestamp {raw!r}" if binned_col is None else f"binned column {binned_col}"
-    problem = "precedes the stream origin" if offset < 0 else "is too far from the stream origin"
+    problem = f"precedes the stream origin{origin}" if offset < 0 else "is too far from the stream origin"
     raise BadTimestamp(f"{what} {problem}", lineno)
 
 
@@ -177,6 +177,7 @@ def parse_tuples(
     if cfg.value_col is not None:
         needed = max(needed, cfg.value_col)
     t0 = cfg.t0
+    origin = ""  # how an error names a default origin
     last_bin = 0  # highest time bin yielded so far
     warned_extra = False
     for lineno, raw_line in enumerate(lines, 1):
@@ -199,7 +200,11 @@ def parse_tuples(
             ts = _parse_timestamp(raw_ts, cfg.time_format, lineno)
             if t0 is None:
                 t0 = ts
-            time_bin = _time_bin(ts, t0, cfg.stride, lineno, raw_ts)
+                origin = (
+                    f" {raw_ts}, taken from the first tuple (line {lineno}); "
+                    "pass --t0 with the earliest timestamp"
+                )
+            time_bin = _time_bin(ts, t0, cfg.stride, lineno, raw_ts, origin)
 
             value = 1 if cfg.value_col is None else _parse_value(parts[cfg.value_col], lineno)
             if value == 0:
@@ -208,7 +213,7 @@ def parse_tuples(
             ids = [dicts.encode(m, parts[col]) for m, col in enumerate(cfg.mode_cols)]
             for col in cfg.binned_cols:
                 extra_ts = _parse_timestamp(parts[col], cfg.time_format, lineno)
-                ids.append(_time_bin(extra_ts, t0, cfg.stride, lineno, parts[col], col))
+                ids.append(_time_bin(extra_ts, t0, cfg.stride, lineno, parts[col], origin, col))
             ids.append(time_bin)
         except (MalformedLine, BadTimestamp, NegativeValue) as exc:
             if cfg.on_error == "abort":

@@ -11,6 +11,22 @@ When every mode already overlaps, entries fully covered by shared ids
 move for free and a single best one-new-id sub-block is tried. The loop
 repeats until a full pass moves nothing.
 
+A donor is read through its splice index, built the first time the block
+is spliced and cached on it: per-mode postings from each id to its entry
+keys in entry order, each key's ordinal, each id's mass, and per mode the
+heaviest id mass. A sub-block with one new id per forced mode weighs at
+most that id's mass, so when the lightest forced-mode peak (or, with
+several forced modes, the heaviest id combination on them) cannot pass
+the test, the pair is sterile and comes back without a scan. Otherwise
+only entries that can survive the shared-id filter are visited: those
+reached through the shared ids of the cheapest free mode, or, when every
+mode overlaps, of the two cheapest modes, since an entry with at most one
+unseen id is shared on one of any two modes. They are put back in entry
+order, so merges and mass sums match a scan of the whole donor exactly.
+A productive splice moves each input's index to the block that replaces
+it and re-indexes only the ids the merges touched; the input's cache is
+cleared and rebuilt if that block is ever spliced again.
+
 All density comparisons are cross-multiplied so integer-valued blocks are
 handled exactly. The pair splicer works on copy-on-write state, so a
 sterile pair returns the original block objects and a productive one pays
@@ -20,15 +36,131 @@ for its copies once, not per merge.
 from __future__ import annotations
 
 import heapq
+import itertools
+from operator import itemgetter
 
 from .blocks import Block
-from .errors import DegenerateBlock, NotASubblock, PreconditionViolated, ShapeMismatch
+from .errors import DegenerateBlock, PreconditionViolated, ShapeMismatch
 
 
 def splice_condition(candidate_mass, q_total, g1) -> bool:
     """True when merging mass ``candidate_mass`` that brings ``q_total``
     new ids into a block of density ``g1`` strictly raises that density."""
     return candidate_mass > q_total * g1
+
+
+# ---------------------------------------------------------------------------
+# Donor index
+
+
+def _posting_mass(entries: dict, keys: list):
+    return sum(map(entries.__getitem__, keys))
+
+
+class _SpliceIndex:
+    """One block's entries indexed for reading the block as a donor.
+
+    ``postings[m][id]`` lists the keys holding ``id`` on mode ``m`` in
+    entry order, ``masses[m][id]`` sums their values in that order and
+    ``peaks[m]`` is the largest of ``masses[m]``; all three always equal
+    a fresh build bit for bit. ``order`` maps keys to ordinals that rise
+    with entry order. ``combo_peaks`` caches, per forced-mode tuple, the
+    heaviest sum of the entries sharing one id combination on those modes.
+    """
+
+    __slots__ = ("order", "next_ordinal", "postings", "masses", "peaks", "combo_peaks")
+
+    def __init__(self, block: Block):
+        entries = block.entries
+        self.order = dict(zip(entries, itertools.count()))
+        self.next_ordinal = len(entries)
+        self.postings: list[dict[int, list]] = []
+        self.masses: list[dict] = []
+        for mode in range(block.n_modes):
+            postings: dict[int, list] = {}
+            for key in entries:
+                keys = postings.get(key[mode])
+                if keys is None:
+                    postings[key[mode]] = [key]
+                else:
+                    keys.append(key)
+            self.postings.append(postings)
+            self.masses.append(
+                {idx: _posting_mass(entries, keys) for idx, keys in postings.items()}
+            )
+        self.peaks = [max(masses.values()) for masses in self.masses]
+        self.combo_peaks: dict[tuple, int | float] = {}
+
+    def rules_out(self, donor: Block, q_modes: tuple, mass, size) -> bool:
+        """True when no donor sub-block with one new id on each forced mode
+        can raise a target of this mass and size."""
+        q = len(q_modes)
+        if self._fails(min(self.peaks[m] for m in q_modes), donor, q, mass, size):
+            return True
+        if q == 1:  # the one mode's peak is already the heaviest combination
+            return False
+        peak = self.combo_peaks.get(q_modes)
+        if peak is None:
+            sums: dict[tuple, int | float] = {}
+            for key, value in donor.entries.items():
+                combo = tuple([key[m] for m in q_modes])
+                sums[combo] = sums.get(combo, 0) + value
+            peak = self.combo_peaks[q_modes] = max(sums.values())
+        return self._fails(peak, donor, q, mass, size)
+
+    @staticmethod
+    def _fails(bound, donor: Block, q: int, mass, size) -> bool:
+        if not isinstance(donor.mass, int):
+            # Any float sum of at most nnz positive values, in any order,
+            # is within a relative nnz * 2**-53 of the exact sum; widen the
+            # bound past the error of both it and the candidate's own sum.
+            bound *= 1 + (donor.nnz + 1) * 2.0**-50
+        return bound * size <= q * mass
+
+    def shrink(self, entries: dict, removed: list[dict], touched: list[dict]) -> None:
+        """Re-index after the dicts in ``removed`` left ``entries``;
+        ``touched`` holds, per mode, every id they held."""
+        order = self.order
+        for dropped in removed:
+            for key in dropped:
+                del order[key]
+        self._reindex(entries, touched)
+
+    def grow(self, entries: dict, added: list[dict]) -> None:
+        """Re-index after the dicts in ``added`` were summed into ``entries``."""
+        order = self.order
+        touched: list[dict[int, None]] = [{} for _ in self.postings]
+        for merged in added:
+            for key in merged:
+                fresh = key not in order
+                if fresh:
+                    order[key] = self.next_ordinal
+                    self.next_ordinal += 1
+                for mode, idx in enumerate(key):
+                    touched[mode][idx] = None
+                    if fresh:
+                        self.postings[mode].setdefault(idx, []).append(key)
+        self._reindex(entries, touched)
+
+    def _reindex(self, entries: dict, touched: list[dict]) -> None:
+        """Recompute each touched id's live postings and mass, and the peaks."""
+        for mode, ids in enumerate(touched):
+            postings = self.postings[mode]
+            masses = self.masses[mode]
+            old_peak = peak = self.peaks[mode]
+            stale = False  # an id that held the peak changed
+            for idx in ids:
+                stale = stale or masses.get(idx) == old_peak
+                keys = [key for key in postings[idx] if key in entries]
+                if keys:
+                    postings[idx] = keys
+                    mass = masses[idx] = _posting_mass(entries, keys)
+                    if mass > peak:
+                        peak = mass
+                else:
+                    del postings[idx], masses[idx]
+            self.peaks[mode] = max(masses.values()) if stale else peak
+        self.combo_peaks = {}
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +172,25 @@ class _Working:
 
     Stays a read-only alias of its source until the first mutation; after
     that it owns private copies of the entry dict and id sets. ``finish``
-    hands back the untouched source or materializes a fresh block.
+    hands back the untouched source or materializes a fresh block, moving
+    the source's index to it. A donor's postings are not updated until
+    then, so a walk skips keys already gone from ``entries``.
     """
 
-    __slots__ = ("n", "entries", "sets", "mass", "counts", "owned", "source")
+    __slots__ = ("n", "entries", "sets", "mass", "owned", "source", "index", "moved", "counts")
 
-    def __init__(self, block: Block):
+    def __init__(self, block: Block, index: _SpliceIndex | None):
         self.n = block.n_modes
         self.entries = block.entries
         self.sets = block.index_sets
         self.mass = block.mass
-        self.counts: list[dict[int, int]] | None = None
         self.owned = False
         self.source = block
+        self.index = index
+        self.moved: list[dict] = []  # dicts absorbed or shed, in order
+        # Set by the first shed, so only on a donor: per mode, the live
+        # entry count of every id a shed touched.
+        self.counts: list[dict[int, int]] | None = None
 
     @property
     def size(self) -> int:
@@ -77,66 +215,102 @@ class _Working:
             for mode, idx in enumerate(key):
                 sets[mode].add(idx)
         self.mass += sum(added.values())
-        self.counts = None  # support counts are stale once entries grow
+        self.moved.append(added)
 
     def shed(self, removed: dict) -> None:
+        """Remove donor entries, passed with their full values."""
         self._own()
         if self.counts is None:
-            counts: list[dict[int, int]] = [{} for _ in range(self.n)]
-            for key in self.entries:
-                for mode, idx in enumerate(key):
-                    counts[mode][idx] = counts[mode].get(idx, 0) + 1
-            self.counts = counts
+            self.counts = [{} for _ in range(self.n)]
         entries = self.entries
         counts = self.counts
+        postings = self.index.postings
         sets = self.sets
         lost = 0
         for key, value in removed.items():
-            present = entries.get(key)
-            if present is None or value > present:
-                raise NotASubblock(f"entry {key!r} is not contained in the donor")
-            left = present - value
-            if left > 0:
-                entries[key] = left
-            else:
-                del entries[key]
-                for mode, idx in enumerate(key):
-                    c = counts[mode][idx] - 1
-                    if c:
-                        counts[mode][idx] = c
-                    else:
-                        del counts[mode][idx]
-                        sets[mode].discard(idx)
+            del entries[key]
+            for mode, idx in enumerate(key):
+                count = counts[mode].get(idx)
+                if count is None:
+                    # First removal under this id, so its postings are exact.
+                    count = len(postings[mode][idx])
+                count -= 1
+                counts[mode][idx] = count
+                if not count:
+                    sets[mode].discard(idx)
             lost += value
         self.mass -= lost
+        self.moved.append(removed)
 
     def finish(self) -> Block:
         if not self.owned:
             return self.source
-        return Block._from_parts(self.n, self.entries, self.sets)
+        block = Block._from_parts(self.n, self.entries, self.sets)
+        index = self.index
+        if index is not None:
+            self.source._index = None
+            if block.entries:
+                if self.counts is None:
+                    index.grow(block.entries, self.moved)
+                else:
+                    index.shrink(block.entries, self.moved, self.counts)
+                block._index = index
+        return block
 
 
-def _bucket_by_combo(w1_sets, w2_entries, q_modes, free_modes) -> dict:
+def _reached(w1_sets, w2: _Working, modes, count: int):
+    """Live donor keys holding a target id on at least one of the ``count``
+    cheapest ``modes``, in donor entry order.
+
+    Cost is the number of postings a walk would visit; when fewer than
+    ``count`` modes are given, or the walk would visit at least as many
+    keys as the donor holds, every key is returned instead.
+    """
+    entries = w2.entries
+    postings = w2.index.postings
+    options = []
+    for mode in modes:
+        mode_postings = postings[mode]
+        seen = w1_sets[mode]
+        if len(seen) < len(mode_postings):
+            shared = [idx for idx in seen if idx in mode_postings]
+        else:
+            shared = [idx for idx in mode_postings if idx in seen]
+        cost = sum([len(mode_postings[idx]) for idx in shared])
+        options.append((cost, mode, shared))
+    options.sort()
+    chosen = options[:count]
+    if len(chosen) < count or sum(cost for cost, _, _ in chosen) >= len(entries):
+        return entries
+    keys: set = set()
+    for _, mode, shared in chosen:
+        mode_postings = postings[mode]
+        for idx in shared:
+            keys.update(mode_postings[idx])
+    return sorted([key for key in keys if key in entries], key=w2.index.order.__getitem__)
+
+
+def _bucket_by_combo(w1_sets, w2: _Working, q_modes, free_modes) -> dict:
     """Group donor entries by their id combination on the forced modes.
 
     Entries whose ids on non-forced modes are not all shared with the
     target drop out, so only combinations with usable mass materialize.
     """
-    buckets: dict[tuple, dict] = {}
-    for key, value in w2_entries.items():
-        usable = True
-        for m in free_modes:
-            if key[m] not in w1_sets[m]:
-                usable = False
+    entries = w2.entries
+    checks = [(m, w1_sets[m]) for m in free_modes]
+    combo_of = itemgetter(*q_modes)  # a bare id when one mode is forced
+    buckets: dict = {}
+    for key in _reached(w1_sets, w2, free_modes, 1):
+        for m, seen in checks:
+            if key[m] not in seen:
                 break
-        if not usable:
-            continue
-        combo = tuple(key[m] for m in q_modes)
-        bucket = buckets.get(combo)
-        if bucket is None:
-            buckets[combo] = {key: value}
         else:
-            bucket[key] = value
+            combo = combo_of(key)
+            bucket = buckets.get(combo)
+            if bucket is None:
+                buckets[combo] = {key: entries[key]}
+            else:
+                bucket[key] = entries[key]
     return buckets
 
 
@@ -145,21 +319,20 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
 
     Equivalent to repeating the one-shot pass while it keeps merging, but
     the donor is classified once: entries with a single unseen id feed a
-    lazy max-heap of per-(mode, id) candidates, entries with several are
-    parked and re-examined only when one of their ids becomes common.
-    Returns once the best candidate fails, the donor runs dry, or some
-    mode loses its overlap (the caller then recomputes the forced modes).
+    lazy max-heap of per-(mode, id) candidates. Entries with several wait
+    until one of their ids becomes common, when a walk of that id's
+    postings re-examines them. Returns once the best candidate fails, the
+    donor runs dry, or some mode loses its overlap (the caller then
+    recomputes the forced modes).
     """
     n = w1.n
+    postings = w2.index.postings
     moved_any = False
     common = {}
     buckets: dict[tuple[int, int], dict] = {}
     masses: dict[tuple[int, int], int | float] = {}
-    parked: dict[tuple[int, int], list] = {}
-    heap: list = []
 
-    def enroll(key, value, new_ids):
-        bucket_key = new_ids[0]
+    def enroll(key, value, bucket_key):
         bucket = buckets.get(bucket_key)
         if bucket is None:
             buckets[bucket_key] = {key: value}
@@ -167,7 +340,6 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
         elif key not in bucket:
             bucket[key] = value
             masses[bucket_key] += value
-        heapq.heappush(heap, (-masses[bucket_key], bucket_key))
 
     def unseen_ids(key):
         found = []
@@ -177,17 +349,15 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
                 found.append((m, idx))
         return found
 
-    for key, value in w2.entries.items():
+    for key in _reached(w1.sets, w2, range(n), 2):
+        value = w2.entries[key]
         new_ids = unseen_ids(key)
         if not new_ids:
             common[key] = value
         elif len(new_ids) == 1:
-            enroll(key, value, new_ids)
-        else:
-            # Parked under every unseen id once; an id turning common
-            # triggers a re-check, the other registrations stay put.
-            for bucket_key in new_ids:
-                parked.setdefault(bucket_key, []).append(key)
+            enroll(key, value, new_ids[0])
+    heap = [(-mass, bucket_key) for bucket_key, mass in masses.items()]
+    heapq.heapify(heap)
 
     # Shared entries bring no new id, so absorbing them after the scan
     # leaves every other entry's classification unchanged.
@@ -208,18 +378,20 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
             break
         entries = buckets.pop(bucket_key)
         del masses[bucket_key]
-        before = w1.density()
+        before = w1.density() if trace is not None else 0.0
         w1.absorb(entries)
         w2.shed(entries)
         moved_any = True
         if trace is not None:
             trace.append((before, w1.density()))
-        for key in parked.pop(bucket_key, ()):
+        mode, idx = bucket_key
+        for key in postings[mode][idx]:
             value = w2.entries.get(key)
             if value is not None:
                 still_new = unseen_ids(key)
                 if len(still_new) == 1:
-                    enroll(key, value, still_new)
+                    enroll(key, value, still_new[0])
+                    heapq.heappush(heap, (-masses[still_new[0]], still_new[0]))
         if not w2.entries:
             break
         if any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)):
@@ -227,18 +399,20 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
     return moved_any
 
 
+def _forced_modes(sets1, sets2) -> tuple:
+    return tuple(m for m in range(len(sets1)) if sets1[m].isdisjoint(sets2[m]))
+
+
 def _splice_workings(w1: _Working, w2: _Working, trace) -> None:
     n = w1.n
     while w2.entries:
         updated = False
-        q_modes = tuple(
-            m for m in range(n) if w1.sets[m].isdisjoint(w2.sets[m])
-        )
+        q_modes = _forced_modes(w1.sets, w2.sets)
         if not q_modes:
             updated = _empty_q_drain(w1, w2, trace)
         else:
             free_modes = [m for m in range(n) if m not in q_modes]
-            buckets = _bucket_by_combo(w1.sets, w2.entries, q_modes, free_modes)
+            buckets = _bucket_by_combo(w1.sets, w2, q_modes, free_modes)
             heap = [(-sum(e.values()), combo) for combo, e in buckets.items()]
             heapq.heapify(heap)
             while heap:
@@ -288,6 +462,16 @@ def splice_pair(
         raise DegenerateBlock("splice target is empty")
     if b1.mass * b2.size < b2.mass * b1.size:
         raise PreconditionViolated("splice target must be at least as dense as donor")
-    w1, w2 = _Working(b1), _Working(b2)
+    index = b2._index
+    if index is None:
+        index = b2._index = _SpliceIndex(b2)
+    q_modes = _forced_modes(b1.index_sets, b2.index_sets)
+    # The first candidate of a pass with forced modes adds exactly one new
+    # id per forced mode; if even the heaviest possible one fails, so
+    # does the pass, and nothing merges.
+    if q_modes and index.rules_out(b2, q_modes, b1.mass, b1.size):
+        return b1, b2
+    w1 = _Working(b1, b1._index if b1 is not b2 else None)
+    w2 = _Working(b2, index)
     _splice_workings(w1, w2, trace)
     return w1.finish(), w2.finish()

@@ -20,7 +20,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:  # allow running the suite without installing
     sys.path.insert(0, str(SRC))
 
-from tensorsplice import Block  # noqa: E402
+from tensorsplice import Block, NotASubblock, ShapeMismatch  # noqa: E402
+from tensorsplice.detect import DetectParams, detect_top_blocks  # noqa: E402
+from tensorsplice.engine import _denser_first, _order_key  # noqa: E402
+from tensorsplice.splice import splice_pair  # noqa: E402
 
 
 def mk(entries: dict, n_modes: int = 3) -> Block:
@@ -40,6 +43,28 @@ def random_block(
         key = tuple(rng.randrange(max_id) for _ in range(n_modes))
         entries[key] = entries.get(key, 0) + rng.randint(1, max_value)
     return Block(n_modes, entries)
+
+
+def subtract(block: Block, removal: Block) -> Block:
+    """Remove the given entries; ids left without support are pruned."""
+    if removal.n_modes != block.n_modes:
+        raise ShapeMismatch(
+            f"cannot subtract a {removal.n_modes}-mode block from "
+            f"a {block.n_modes}-mode block"
+        )
+    result = dict(block.entries)
+    for key, value in removal.entries.items():
+        present = result.get(key)
+        if present is None or value > present:
+            raise NotASubblock(
+                f"entry {key!r} (value {value!r}) is not contained in the block"
+            )
+        left = present - value
+        if left > 0:
+            result[key] = left
+        else:
+            del result[key]
+    return Block(block.n_modes, result)
 
 
 def recomputed_mass(block: Block):
@@ -188,7 +213,7 @@ def reference_detect(working: Block, num_blocks: int) -> list[Block]:
     while len(found) < num_blocks and working.nnz:
         block = reference_peel(working)
         found.append(block)
-        working = working.subtract(block)
+        working = subtract(working, block)
     found.sort(key=lambda b: -(b.mass / b.size))
     return found
 
@@ -261,14 +286,14 @@ def empty_q_step(b1: Block, b2: Block) -> tuple:
     """
     shared = restrict(b2, b1.index_sets)
     if not shared.is_empty:
-        b1, b2 = b1.union_with(shared), b2.subtract(shared)
+        b1, b2 = b1.union_with(shared), subtract(b2, shared)
     best = max(
         (cand for _, cand in single_new_id_candidates(b1, b2)),
         key=lambda cand: cand.mass,
         default=None,
     )
     if best is not None and best.mass * b1.size > b1.mass:
-        return b1.union_with(best), b2.subtract(best), True
+        return b1.union_with(best), subtract(b2, best), True
     return b1, b2, False
 
 
@@ -285,7 +310,7 @@ def reference_splice(b1: Block, b2: Block) -> tuple:
             updated = False
             for _, cand in enumerate_candidates(b1, b2, q_modes):
                 if cand.mass * b1.size > new_id_count(cand, b1) * b1.mass:
-                    b1, b2 = b1.union_with(cand), b2.subtract(cand)
+                    b1, b2 = b1.union_with(cand), subtract(b2, cand)
                     updated = True
                 else:
                     break
@@ -323,6 +348,251 @@ def family_violations(b1: Block, b2: Block) -> list:
     return out
 
 
+# ---------------------------------------------------------------------------
+# The pair splicer as it was before donors were indexed: every pass scans
+# the whole donor. The indexed splicer must return the same entries, in
+# the same order, with the same mass bits.
+
+
+class _RefWorking:
+    """Mutable view of a block inside one splice call.
+
+    Stays a read-only alias of its source until the first mutation; after
+    that it owns private copies of the entry dict and id sets. ``finish``
+    hands back the untouched source or materializes a fresh block.
+    """
+
+    __slots__ = ("n", "entries", "sets", "mass", "counts", "owned", "source")
+
+    def __init__(self, block: Block):
+        self.n = block.n_modes
+        self.entries = block.entries
+        self.sets = block.index_sets
+        self.mass = block.mass
+        self.counts: list[dict[int, int]] | None = None
+        self.owned = False
+        self.source = block
+
+    @property
+    def size(self) -> int:
+        return sum(len(s) for s in self.sets)
+
+    def density(self) -> float:
+        return self.mass / self.size
+
+    def _own(self) -> None:
+        if not self.owned:
+            self.entries = dict(self.entries)
+            self.sets = [set(s) for s in self.sets]
+            self.owned = True
+
+    def absorb(self, added: dict) -> None:
+        self._own()
+        entries = self.entries
+        sets = self.sets
+        for key, value in added.items():
+            prev = entries.get(key)
+            entries[key] = value if prev is None else prev + value
+            for mode, idx in enumerate(key):
+                sets[mode].add(idx)
+        self.mass += sum(added.values())
+        self.counts = None  # support counts are stale once entries grow
+
+    def shed(self, removed: dict) -> None:
+        self._own()
+        if self.counts is None:
+            counts: list[dict[int, int]] = [{} for _ in range(self.n)]
+            for key in self.entries:
+                for mode, idx in enumerate(key):
+                    counts[mode][idx] = counts[mode].get(idx, 0) + 1
+            self.counts = counts
+        entries = self.entries
+        counts = self.counts
+        sets = self.sets
+        lost = 0
+        for key, value in removed.items():
+            present = entries.get(key)
+            if present is None or value > present:
+                raise NotASubblock(f"entry {key!r} is not contained in the donor")
+            left = present - value
+            if left > 0:
+                entries[key] = left
+            else:
+                del entries[key]
+                for mode, idx in enumerate(key):
+                    c = counts[mode][idx] - 1
+                    if c:
+                        counts[mode][idx] = c
+                    else:
+                        del counts[mode][idx]
+                        sets[mode].discard(idx)
+            lost += value
+        self.mass -= lost
+
+    def finish(self) -> Block:
+        if not self.owned:
+            return self.source
+        return Block._from_parts(self.n, self.entries, self.sets)
+
+
+def _ref_bucket_by_combo(w1_sets, w2_entries, q_modes, free_modes) -> dict:
+    """Group donor entries by their id combination on the forced modes.
+
+    Entries whose ids on non-forced modes are not all shared with the
+    target drop out, so only combinations with usable mass materialize.
+    """
+    buckets: dict[tuple, dict] = {}
+    for key, value in w2_entries.items():
+        usable = True
+        for m in free_modes:
+            if key[m] not in w1_sets[m]:
+                usable = False
+                break
+        if not usable:
+            continue
+        combo = tuple(key[m] for m in q_modes)
+        bucket = buckets.get(combo)
+        if bucket is None:
+            buckets[combo] = {key: value}
+        else:
+            bucket[key] = value
+    return buckets
+
+
+def _ref_empty_q_drain(w1: _RefWorking, w2: _RefWorking, trace) -> bool:
+    """Run fully-overlapping passes to exhaustion without rescanning.
+
+    Equivalent to repeating the one-shot pass while it keeps merging, but
+    the donor is classified once: entries with a single unseen id feed a
+    lazy max-heap of per-(mode, id) candidates, entries with several are
+    parked and re-examined only when one of their ids becomes common.
+    Returns once the best candidate fails, the donor runs dry, or some
+    mode loses its overlap (the caller then recomputes the forced modes).
+    """
+    n = w1.n
+    moved_any = False
+    common = {}
+    buckets: dict[tuple[int, int], dict] = {}
+    masses: dict[tuple[int, int], int | float] = {}
+    parked: dict[tuple[int, int], list] = {}
+    heap: list = []
+
+    def enroll(key, value, new_ids):
+        bucket_key = new_ids[0]
+        bucket = buckets.get(bucket_key)
+        if bucket is None:
+            buckets[bucket_key] = {key: value}
+            masses[bucket_key] = value
+        elif key not in bucket:
+            bucket[key] = value
+            masses[bucket_key] += value
+        heapq.heappush(heap, (-masses[bucket_key], bucket_key))
+
+    def unseen_ids(key):
+        found = []
+        for m in range(n):
+            idx = key[m]
+            if idx not in w1.sets[m]:
+                found.append((m, idx))
+        return found
+
+    for key, value in w2.entries.items():
+        new_ids = unseen_ids(key)
+        if not new_ids:
+            common[key] = value
+        elif len(new_ids) == 1:
+            enroll(key, value, new_ids)
+        else:
+            # Parked under every unseen id once; an id turning common
+            # triggers a re-check, the other registrations stay put.
+            for bucket_key in new_ids:
+                parked.setdefault(bucket_key, []).append(key)
+
+    # Shared entries bring no new id, so absorbing them after the scan
+    # leaves every other entry's classification unchanged.
+    if common:
+        before = w1.density()
+        w1.absorb(common)
+        w2.shed(common)
+        moved_any = True
+        if trace is not None:
+            trace.append((before, w1.density()))
+
+    while buckets and heap:
+        neg_mass, bucket_key = heapq.heappop(heap)
+        current = masses.get(bucket_key)
+        if current is None or -neg_mass != current:
+            continue  # merged away or superseded by a grown mass
+        if current * w1.size <= w1.mass:  # single new id: q is 1
+            break
+        entries = buckets.pop(bucket_key)
+        del masses[bucket_key]
+        before = w1.density()
+        w1.absorb(entries)
+        w2.shed(entries)
+        moved_any = True
+        if trace is not None:
+            trace.append((before, w1.density()))
+        for key in parked.pop(bucket_key, ()):
+            value = w2.entries.get(key)
+            if value is not None:
+                still_new = unseen_ids(key)
+                if len(still_new) == 1:
+                    enroll(key, value, still_new)
+        if not w2.entries:
+            break
+        if any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)):
+            break  # overlap lost on some mode, forced modes changed
+    return moved_any
+
+
+def _ref_splice_workings(w1: _RefWorking, w2: _RefWorking, trace) -> None:
+    n = w1.n
+    while w2.entries:
+        updated = False
+        q_modes = tuple(
+            m for m in range(n) if w1.sets[m].isdisjoint(w2.sets[m])
+        )
+        if not q_modes:
+            updated = _ref_empty_q_drain(w1, w2, trace)
+        else:
+            free_modes = [m for m in range(n) if m not in q_modes]
+            buckets = _ref_bucket_by_combo(w1.sets, w2.entries, q_modes, free_modes)
+            heap = [(-sum(e.values()), combo) for combo, e in buckets.items()]
+            heapq.heapify(heap)
+            while heap:
+                neg_mass, combo = heapq.heappop(heap)
+                entries = buckets[combo]
+                # Earlier merges this pass may have made some of this
+                # candidate's ids common, so recount before testing.
+                q_now = 0
+                for m in range(n):
+                    seen = w1.sets[m]
+                    for idx in {key[m] for key in entries}:
+                        if idx not in seen:
+                            q_now += 1
+                if -neg_mass * w1.size > q_now * w1.mass:
+                    before = w1.density() if trace is not None else 0.0
+                    w1.absorb(entries)
+                    w2.shed(entries)
+                    updated = True
+                    if trace is not None:
+                        trace.append((before, w1.density()))
+                else:
+                    break
+        if not updated:
+            break
+
+
+def reference_splice_pair(b1: Block, b2: Block, trace: list | None = None) -> tuple:
+    """Splice donor b2 into target b1; preconditions are the caller's."""
+    if b2.is_empty:
+        return b1, b2
+    w1, w2 = _RefWorking(b1), _RefWorking(b2)
+    _ref_splice_workings(w1, w2, trace)
+    return w1.finish(), w2.finish()
+
+
 def ordered_pair(a: Block, b: Block) -> tuple[Block, Block]:
     """Denser block first, ties keeping the given order."""
     if a.mass * b.size >= b.mass * a.size:
@@ -333,3 +603,32 @@ def ordered_pair(a: Block, b: Block) -> tuple[Block, Block]:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def reference_sweep(retained: list, slice_, cfg) -> list:
+    """The blocks ``engine.step`` retains, without its sterile-pair memo:
+    every sweep splices every pair again."""
+    pool = list(retained)
+    if slice_.nnz:
+        pool += detect_top_blocks(slice_, DetectParams(cfg.pool_size, cfg.n_modes))
+    for _ in range(cfg.max_epochs):
+        pool.sort(key=_order_key)
+        changed = False
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                a, b = pool[i], pool[j]
+                if a.is_empty or b.is_empty:
+                    continue
+                if _denser_first(a, b):
+                    new_a, new_b = splice_pair(a, b)
+                else:
+                    new_b, new_a = splice_pair(b, a)
+                if new_a is not a or new_b is not b:
+                    changed = True
+                    pool[i], pool[j] = new_a, new_b
+        pool = [blk for blk in pool if not blk.is_empty]
+        if not changed:
+            break
+    pool.sort(key=_order_key)
+    return pool[: cfg.pool_size]
+

@@ -238,6 +238,28 @@ class TestGenerate:
             paths.append((out.read_bytes(), truth.read_bytes()))
         assert paths[0] == paths[1]
 
+    def test_run_without_t0_names_the_default_origin(self, tmp_path, capsys):
+        # The generator shuffles tuples within a bin, so its first line is
+        # not its earliest; the default origin then rejects a later line.
+        stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
+        assert main([*self.GEN, "--output", str(stream), "--truth", str(truth)]) == 0
+        first_time = stream.read_text().split("\t", 3)[2]
+        stride = str(json.loads(truth.read_text())["stride"])
+        capsys.readouterr()
+        out = tmp_path / "run.jsonl"
+        code = main([
+            "run", "--input", str(stream), "--modes", "0,1", "--time-col", "2",
+            "--value-col", "3", "--stride", stride, "--output", str(out),
+        ])
+        assert code == 2
+        assert out.read_bytes() == b""
+        err = capsys.readouterr().err.strip()
+        assert re.fullmatch(
+            rf"error: line \d+: timestamp '\d+' precedes the stream origin {first_time}, "
+            r"taken from the first tuple \(line 1\); pass --t0 with the earliest timestamp",
+            err,
+        ), err
+
     def test_infeasible_density_is_config_error(self, tmp_path, capsys):
         code = main([
             "generate", "--block", "2x2", "--density", "3.0", "--span", "1",

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorsplice import (
     DetectParams,
@@ -15,7 +17,7 @@ from tensorsplice import (
     step,
 )
 from tensorsplice.cli import iter_rerun_outputs
-from conftest import family_violations, ordered_pair
+from conftest import family_violations, ordered_pair, reference_sweep
 
 # Both consumers of the shared bin partition: the tracking engine and the
 # full re-detection baseline.
@@ -218,3 +220,48 @@ class TestConfigValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             EngineConfig(**base)
+
+
+@st.composite
+def bin_streams(draw):
+    """2-4 modes, up to 6 bins of integer, float or all-tied entries."""
+    n_modes = draw(st.integers(2, 4))
+    values = draw(st.sampled_from([
+        st.integers(1, 9), st.sampled_from([0.1, 0.3, 0.7, 3.3, 1e16]), st.just(1),
+    ]))
+    max_id = draw(st.integers(1, 5))
+    bins = []
+    for t in range(draw(st.integers(1, 6))):
+        cells = draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(0, max_id)] * (n_modes - 1)), values),
+            max_size=15,
+        ))
+        entries: dict = {}
+        for ids, value in cells:
+            entries[ids + (t,)] = entries.get(ids + (t,), 0) + value
+        bins.append(entries)
+    return n_modes, bins
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=bin_streams(), k=st.integers(1, 3), l=st.integers(0, 2))
+@example(
+    stream=(2, [{(0, 0): 3, (1, 0): 4, (2, 0): 6}, {(0, 1): 4, (1, 1): 1, (2, 1): 9}]),
+    k=1, l=2,
+)
+def test_step_matches_memo_free_sweep(stream, k, l):
+    # The sterile-pair memo only skips calls that would return their
+    # inputs again, so it must not change what a step retains. A memo
+    # keyed by id() alone fails the explicit example: blocks superseded
+    # during the step are freed and their ids reused.
+    n_modes, bins = stream
+    cfg = EngineConfig(n_modes=n_modes, stride=1, k=k, l=l)
+    state = EngineState.initial()
+    for t, entries in enumerate(bins):
+        slice_ = slice_for(t, entries, n_modes)
+        want = reference_sweep(state.retained, slice_, cfg)
+        state, _ = step(state, slice_, cfg)
+        assert [(list(b.entries.items()), repr(b.mass)) for b in state.retained] == [
+            (list(b.entries.items()), repr(b.mass)) for b in want
+        ]
+

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tensorsplice import (
     Block,
@@ -11,7 +14,9 @@ from tensorsplice import (
     splice_condition,
     splice_pair,
 )
+from tensorsplice.splice import _forced_modes, _SpliceIndex
 from conftest import (
+    _ref_bucket_by_combo,
     empty_q_step,
     enumerate_candidates,
     family_violations,
@@ -20,6 +25,7 @@ from conftest import (
     ordered_pair,
     random_block,
     reference_splice,
+    reference_splice_pair,
     required_new_modes,
 )
 
@@ -201,6 +207,22 @@ class TestSplicePair:
         assert all(after > before for before, after in trace)
         assert family_violations(r1, r2) == []
 
+    def test_merge_unlocks_entries_with_two_new_ids(self):
+        # Every mode overlaps throughout (the light (2, 0, 1) keeps object 0
+        # in the donor). Merging user 1 leaves (1, 1, 0) with a single new
+        # id, object 1, which lifts that candidate from 5 to 15, ahead of
+        # object 2's 13. Merging object 1 first leaves 13 exactly at the bar.
+        b1 = mk({(0, 0, 0): 30})
+        b2 = mk({
+            (1, 0, 0): 20, (1, 1, 0): 10, (0, 1, 0): 5, (0, 2, 0): 13, (2, 0, 1): 1,
+        })
+        r1, r2 = splice_pair(b1, b2)
+        assert list(r1.entries.items()) == [
+            ((0, 0, 0), 30), ((1, 0, 0), 20), ((0, 1, 0), 5), ((1, 1, 0), 10),
+        ]
+        assert r2.entries == {(0, 2, 0): 13, (2, 0, 1): 1}
+        assert (r1, r2) == reference_splice(b1, b2)
+
     def test_fully_disjoint_single_heavy_entry(self):
         # With every mode forced, each donor entry stands alone and needs
         # mass above three new ids' worth.
@@ -293,3 +315,160 @@ def test_theorem_equivalence_randomized():
         merged = base.union_with(extra)
         rose = Fraction(merged.mass, merged.size) > g1
         assert rose == splice_condition(extra.mass, q, g1)
+
+
+# ---------------------------------------------------------------------------
+# The indexed splicer against the scanning one it replaced
+
+# Integers, floats whose sums round differently in different orders, and a
+# single value that ties most candidate masses.
+VALUES = {
+    "int": st.integers(1, 9),
+    "float": st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 3.3, 1e16]),
+    "tie": st.just(1),
+}
+
+
+@st.composite
+def block_pools(draw):
+    """2-5 blocks over 2-4 modes plus a sequence of index pairs to splice.
+
+    Each block's last-mode ids are shifted by a drawn offset, so pairs are
+    often disjoint there, as retained blocks and new seeds are in time.
+    """
+    n_modes = draw(st.integers(2, 4))
+    values = VALUES[draw(st.sampled_from(sorted(VALUES)))]
+    max_id = draw(st.integers(1, 4))
+    pool = []
+    for _ in range(draw(st.integers(2, 5))):
+        shift = draw(st.integers(0, 2)) * (max_id + 1)
+        cells = draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(0, max_id)] * n_modes), values),
+            min_size=1, max_size=12,
+        ))
+        entries: dict = {}
+        for key, value in cells:
+            key = key[:-1] + (key[-1] + shift,)
+            entries[key] = entries.get(key, 0) + value
+        pool.append(Block(n_modes, entries))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12))
+    return pool, pairs
+
+
+def splice_chain(pool: list, pairs: list):
+    """Splice the drawn pairs in turn, feeding results back into the pool,
+    so later calls read indices moved by earlier ones. Yields each call's
+    ordered inputs and result."""
+    for i, j in pairs:
+        if len(pool) < 2:
+            return
+        i, j = i % len(pool), j % len(pool)
+        if i == j:
+            continue
+        a, b = ordered_pair(pool[i], pool[j])
+        got = splice_pair(a, b)
+        yield a, b, got
+        pool[i], pool[j] = got if a is pool[i] else got[::-1]
+        pool[:] = [blk for blk in pool if not blk.is_empty]
+
+
+def exact_view(block: Block):
+    """Entries in order and the mass with its type and bits."""
+    return list(block.entries.items()), repr(block.mass), block.index_sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=block_pools())
+def test_splice_pair_matches_scanning_reference(drawn):
+    pool, pairs = drawn
+    for a, b, got in splice_chain(pool, pairs):
+        trace: list = []
+        want = reference_splice_pair(a, b, trace)
+        assert [exact_view(x) for x in got] == [exact_view(x) for x in want]
+        assert (got[0] is a, got[1] is b) == (want[0] is a, want[1] is b)
+        traced: list = []
+        splice_pair(a, b, traced)  # the inputs' cache was moved: rebuilt here
+        assert traced == trace
+
+
+def assert_fresh(index: _SpliceIndex, block: Block) -> None:
+    fresh = _SpliceIndex(block)
+    assert index.postings == fresh.postings
+    assert [{i: repr(m) for i, m in d.items()} for d in index.masses] == [
+        {i: repr(m) for i, m in d.items()} for d in fresh.masses
+    ]
+    assert [repr(p) for p in index.peaks] == [repr(p) for p in fresh.peaks]
+    assert sorted(index.order, key=index.order.get) == list(block.entries)
+    assert index.next_ordinal > max(index.order.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=block_pools())
+def test_moved_index_matches_fresh_index(drawn):
+    pool, pairs = drawn
+    for a, b, got in splice_chain(pool, pairs):
+        if got[0] is a:
+            continue
+        assert a._index is None and b._index is None
+        for block in got:
+            if block._index is not None:
+                assert_fresh(block._index, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=block_pools())
+def test_bound_never_rejects_a_productive_pair(drawn):
+    pool, _ = drawn
+    for x in pool:
+        for y in pool:
+            if x is y:
+                continue
+            a, b = ordered_pair(x, y)
+            q_modes = _forced_modes(a.index_sets, b.index_sets)
+            if q_modes and _SpliceIndex(b).rules_out(b, q_modes, a.mass, a.size):
+                r1, r2 = reference_splice_pair(a, b)
+                assert r1 is a and r2 is b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_modes=st.integers(2, 4),
+    data=st.data(),
+    nudge=st.integers(-3, 3),
+)
+def test_bound_holds_within_rounding_of_the_merge_test(n_modes, data, nudge):
+    # A float target whose mass puts the heaviest candidate within a few
+    # ulps of m * size == q * mass, on either side.
+    forced = data.draw(st.sets(st.integers(0, n_modes - 1), min_size=1))
+    values = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 3.3, 1e-3, 1e16])
+    cells = data.draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * n_modes), values),
+        min_size=1, max_size=12,
+    ))
+    entries: dict = {}
+    for key, value in cells:
+        entries[key] = entries.get(key, 0) + value
+    donor = Block(n_modes, entries)
+    # Target ids: fresh on the forced modes, the donor's on the others.
+    shared = [sorted(donor.index_sets[m]) for m in range(n_modes)]
+    keys = {
+        tuple(100 if m in forced else shared[m][r % len(shared[m])] for m in range(n_modes))
+        for r in range(3)
+    }
+    q_modes = tuple(sorted(forced))
+    size = sum(len({k[m] for k in keys}) for m in range(n_modes))
+    sets = [{k[m] for k in keys} for m in range(n_modes)]
+    free = [m for m in range(n_modes) if m not in forced]
+    buckets = _ref_bucket_by_combo(sets, donor.entries, q_modes, free)
+    heaviest = max(sum(e.values()) for e in buckets.values())
+    share = heaviest * size / len(q_modes) / len(keys)
+    for _ in range(abs(nudge)):
+        share = math.nextafter(share, math.inf if nudge > 0 else 0.0)
+    target = Block(n_modes, dict.fromkeys(keys, share))
+    assume(target.mass * donor.size >= donor.mass * target.size)
+    assert _forced_modes(target.index_sets, donor.index_sets) == q_modes
+    if _SpliceIndex(donor).rules_out(donor, q_modes, target.mass, target.size):
+        assert not heaviest * target.size > len(q_modes) * target.mass
+        r1, r2 = reference_splice_pair(target, donor)
+        assert r1 is target and r2 is donor
+
