@@ -117,6 +117,16 @@ def _ingest_config(args) -> IngestConfig:
     )
 
 
+def _engine_config(args, n_modes: int, stride: int | float) -> EngineConfig:
+    try:
+        return EngineConfig(
+            n_modes=n_modes, stride=stride, k=args.k, l=args.l,
+            max_epochs=args.max_epochs,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _open_output(path: str | None) -> TextIO:
     return open(path, "w", encoding="utf-8") if path else sys.stdout
 
@@ -162,10 +172,7 @@ def iter_rerun_outputs(
 def cmd_stream(args) -> int:
     """``run`` and ``oracle``: one JSON line per stride, a summary on stderr."""
     cfg = _ingest_config(args)
-    engine_cfg = EngineConfig(
-        n_modes=cfg.n_modes, stride=cfg.stride, k=args.k, l=args.l,
-        max_epochs=args.max_epochs,
-    )
+    engine_cfg = _engine_config(args, cfg.n_modes, cfg.stride)
     dicts = ModeDictionary.for_config(cfg)
     outputs_of = run_stream if args.command == "run" else iter_rerun_outputs
     counts = {"nnz": 0}
@@ -217,9 +224,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _read_truth(path: str) -> InjectedTruth:
+    """The ground truth ``generate`` wrote; anything else is bad input."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            obj = json.load(handle)
+        except ValueError as exc:  # also bytes that are not UTF-8
+            raise IngestError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise IngestError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    try:
+        return InjectedTruth.from_json(obj)
+    except KeyError as exc:
+        raise IngestError(f"{path}: truth field {exc} is missing") from None
+    except TypeError as exc:
+        raise IngestError(f"{path}: not a truth file ({exc})") from None
+
+
 def cmd_evaluate(args) -> int:
-    with open(args.truth, "r", encoding="utf-8") as handle:
-        truth = InjectedTruth.from_json(json.load(handle))
+    truth = _read_truth(args.truth)
     n_categorical = len(truth.mode_ids)
     cfg = IngestConfig(
         mode_cols=tuple(range(n_categorical)),
@@ -228,10 +251,7 @@ def cmd_evaluate(args) -> int:
         value_col=n_categorical + 1,
         t0=truth.t0,
     )
-    engine_cfg = EngineConfig(
-        n_modes=cfg.n_modes, stride=cfg.stride, k=args.k, l=args.l,
-        max_epochs=args.max_epochs,
-    )
+    engine_cfg = _engine_config(args, cfg.n_modes, cfg.stride)
     dicts = ModeDictionary.for_config(cfg)
     density_series: list[float] = []
     timings: list[float] = []
@@ -266,11 +286,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    cfg = EngineConfig(n_modes=3, stride=1, k=args.k, l=args.l,
-                       max_epochs=args.max_epochs)
-    engine = scaling_run(
-        _csv_ints(args.sizes), cfg=cfg, seed=args.seed, repeats=args.repeats
-    )
+    cfg = _engine_config(args, 3, 1)
+    sizes = _csv_ints(args.sizes)
+    # Checked before any timing, so a bad flag fails at once.
+    if len(sizes) < 4 or min(sizes) < 1 or max(sizes) < 16 * min(sizes):
+        raise ConfigError("--sizes needs at least 4 positive sizes spanning a 16x range")
+    if args.repeats < 1 or args.oracle_slice_nnz < 1:
+        raise ConfigError("--repeats and --oracle-slice-nnz must be at least 1")
+    if args.oracle_steps < 4:
+        raise ConfigError("--oracle-steps must be at least 4")
+    engine = scaling_run(sizes, cfg=cfg, seed=args.seed, repeats=args.repeats)
     baseline = rerun_scaling_run(
         args.oracle_steps, args.oracle_slice_nnz, cfg=cfg, seed=args.seed
     )

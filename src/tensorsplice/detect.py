@@ -110,15 +110,13 @@ class PeelIndex:
                 heapq.heappush(heap, (mass, idx))
 
 
-def peel_once(working: Block | PeelIndex) -> Block:
+def peel_once(working: PeelIndex) -> Block:
     """One greedy run: return the densest intermediate state of the peel.
 
     ``working`` is left unchanged. Comparisons are done cross-multiplied
     (mass_a * size_b vs mass_b * size_a), which is exact for integer-valued
     blocks and avoids float tie instability.
     """
-    if isinstance(working, Block):
-        working = PeelIndex(working.n_modes, working.entries)
     if not working.entries:
         raise ValueError("cannot peel an empty block")
     n = working.n_modes

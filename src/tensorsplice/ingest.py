@@ -60,8 +60,13 @@ class IngestConfig:
             raise ConfigError("stride must be positive and finite")
         if self.t0 is not None and not math.isfinite(self.t0):
             raise ConfigError("t0 must be finite")
-        if self.time_col in self.mode_cols or self.time_col in self.binned_cols:
-            raise ConfigError("the time column cannot double as a mode column")
+        cols = [*self.mode_cols, *self.binned_cols, self.time_col]
+        if self.value_col is not None:
+            cols.append(self.value_col)
+        if min(cols) < 0:
+            raise ConfigError("column indices cannot be negative")
+        if len(set(cols)) < len(cols):
+            raise ConfigError("a column cannot have two roles (mode, binned, time, value)")
         if self.time_format not in ("epoch", "iso"):
             raise ConfigError(f"unknown time format {self.time_format!r}")
         if self.on_error not in ("abort", "skip"):
@@ -96,10 +101,6 @@ class ModeDictionary:
     @classmethod
     def for_config(cls, cfg: IngestConfig) -> "ModeDictionary":
         return cls(cfg.mode_kinds)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.kinds)
 
     def encode(self, mode: int, raw: str) -> int:
         if self.kinds[mode] != CATEGORICAL:

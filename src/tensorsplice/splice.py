@@ -13,19 +13,21 @@ repeats until a full pass moves nothing.
 
 A donor is read through its splice index, built the first time the block
 is spliced and cached on it: per-mode postings from each id to its entry
-keys in entry order, each key's ordinal, each id's mass, and per mode the
-heaviest id mass. A sub-block with one new id per forced mode weighs at
-most that id's mass, so when the lightest forced-mode peak (or, with
-several forced modes, the heaviest id combination on them) cannot pass
-the test, the pair is sterile and comes back without a scan. Otherwise
+keys in entry order, each key's ordinal, and, per set of forced modes,
+the heaviest sum of the entries sharing one id combination on them. A
+pass with forced modes first tries a sub-block with one new id per
+forced mode, which weighs at most that heaviest combination (widened for
+float rounding), so when even that cannot pass the test the pair is
+sterile and comes back without an entry scan; the sums read the donor at
+most once per set of forced modes until the donor changes. Otherwise
 only entries that can survive the shared-id filter are visited: those
 reached through the shared ids of the cheapest free mode, or, when every
-mode overlaps, of the two cheapest modes, since an entry with at most one
-unseen id is shared on one of any two modes. They are put back in entry
-order, so merges and mass sums match a scan of the whole donor exactly.
-A productive splice moves each input's index to the block that replaces
-it and re-indexes only the ids the merges touched; the input's cache is
-cleared and rebuilt if that block is ever spliced again.
+mode overlaps, of the two cheapest modes, since an entry with at most
+one unseen id is shared on one of any two modes. They are put back in
+entry order, so merges and mass sums match a scan of the whole donor
+exactly. A productive splice moves each input's index to the block that
+replaces it and re-indexes only the ids the merges touched; the input's
+cache is cleared and rebuilt if that block is ever spliced again.
 
 All density comparisons are cross-multiplied so integer-valued blocks are
 handled exactly. The pair splicer works on copy-on-write state, so a
@@ -53,29 +55,23 @@ def splice_condition(candidate_mass, q_total, g1) -> bool:
 # Donor index
 
 
-def _posting_mass(entries: dict, keys: list):
-    return sum(map(entries.__getitem__, keys))
-
-
 class _SpliceIndex:
     """One block's entries indexed for reading the block as a donor.
 
     ``postings[m][id]`` lists the keys holding ``id`` on mode ``m`` in
-    entry order, ``masses[m][id]`` sums their values in that order and
-    ``peaks[m]`` is the largest of ``masses[m]``; all three always equal
-    a fresh build bit for bit. ``order`` maps keys to ordinals that rise
-    with entry order. ``combo_peaks`` caches, per forced-mode tuple, the
-    heaviest sum of the entries sharing one id combination on those modes.
+    entry order, as a fresh build would. ``order`` maps keys to ordinals
+    that rise with entry order. ``combo_peaks`` caches, per forced-mode
+    tuple, the heaviest sum of the entries sharing one id combination on
+    those modes.
     """
 
-    __slots__ = ("order", "next_ordinal", "postings", "masses", "peaks", "combo_peaks")
+    __slots__ = ("order", "next_ordinal", "postings", "combo_peaks")
 
     def __init__(self, block: Block):
         entries = block.entries
         self.order = dict(zip(entries, itertools.count()))
         self.next_ordinal = len(entries)
         self.postings: list[dict[int, list]] = []
-        self.masses: list[dict] = []
         for mode in range(block.n_modes):
             postings: dict[int, list] = {}
             for key in entries:
@@ -85,81 +81,50 @@ class _SpliceIndex:
                 else:
                     keys.append(key)
             self.postings.append(postings)
-            self.masses.append(
-                {idx: _posting_mass(entries, keys) for idx, keys in postings.items()}
-            )
-        self.peaks = [max(masses.values()) for masses in self.masses]
         self.combo_peaks: dict[tuple, int | float] = {}
 
     def rules_out(self, donor: Block, q_modes: tuple, mass, size) -> bool:
         """True when no donor sub-block with one new id on each forced mode
         can raise a target of this mass and size."""
-        q = len(q_modes)
-        if self._fails(min(self.peaks[m] for m in q_modes), donor, q, mass, size):
-            return True
-        if q == 1:  # the one mode's peak is already the heaviest combination
-            return False
         peak = self.combo_peaks.get(q_modes)
         if peak is None:
-            sums: dict[tuple, int | float] = {}
+            combo_of = itemgetter(*q_modes)  # a bare id when one mode is forced
+            sums: dict = {}
             for key, value in donor.entries.items():
-                combo = tuple([key[m] for m in q_modes])
+                combo = combo_of(key)
                 sums[combo] = sums.get(combo, 0) + value
             peak = self.combo_peaks[q_modes] = max(sums.values())
-        return self._fails(peak, donor, q, mass, size)
-
-    @staticmethod
-    def _fails(bound, donor: Block, q: int, mass, size) -> bool:
         if not isinstance(donor.mass, int):
             # Any float sum of at most nnz positive values, in any order,
             # is within a relative nnz * 2**-53 of the exact sum; widen the
             # bound past the error of both it and the candidate's own sum.
-            bound *= 1 + (donor.nnz + 1) * 2.0**-50
-        return bound * size <= q * mass
+            peak *= 1 + (donor.nnz + 1) * 2.0**-50
+        return peak * size <= len(q_modes) * mass
 
-    def shrink(self, entries: dict, removed: list[dict], touched: list[dict]) -> None:
-        """Re-index after the dicts in ``removed`` left ``entries``;
-        ``touched`` holds, per mode, every id they held."""
+    def update(self, entries: dict, moved: list[dict]) -> None:
+        """Re-index after the dicts in ``moved`` were summed into or taken
+        out of ``entries``."""
         order = self.order
-        for dropped in removed:
-            for key in dropped:
-                del order[key]
-        self._reindex(entries, touched)
-
-    def grow(self, entries: dict, added: list[dict]) -> None:
-        """Re-index after the dicts in ``added`` were summed into ``entries``."""
-        order = self.order
-        touched: list[dict[int, None]] = [{} for _ in self.postings]
-        for merged in added:
-            for key in merged:
-                fresh = key not in order
-                if fresh:
+        postings = self.postings
+        touched: list[dict[int, None]] = [{} for _ in postings]
+        for changed in moved:
+            for key in changed:
+                if key not in entries:
+                    del order[key]
+                elif key not in order:
                     order[key] = self.next_ordinal
                     self.next_ordinal += 1
+                    for mode, idx in enumerate(key):
+                        postings[mode].setdefault(idx, []).append(key)
                 for mode, idx in enumerate(key):
                     touched[mode][idx] = None
-                    if fresh:
-                        self.postings[mode].setdefault(idx, []).append(key)
-        self._reindex(entries, touched)
-
-    def _reindex(self, entries: dict, touched: list[dict]) -> None:
-        """Recompute each touched id's live postings and mass, and the peaks."""
-        for mode, ids in enumerate(touched):
-            postings = self.postings[mode]
-            masses = self.masses[mode]
-            old_peak = peak = self.peaks[mode]
-            stale = False  # an id that held the peak changed
+        for mode_postings, ids in zip(postings, touched):
             for idx in ids:
-                stale = stale or masses.get(idx) == old_peak
-                keys = [key for key in postings[idx] if key in entries]
+                keys = [key for key in mode_postings[idx] if key in entries]
                 if keys:
-                    postings[idx] = keys
-                    mass = masses[idx] = _posting_mass(entries, keys)
-                    if mass > peak:
-                        peak = mass
+                    mode_postings[idx] = keys
                 else:
-                    del postings[idx], masses[idx]
-            self.peaks[mode] = max(masses.values()) if stale else peak
+                    del mode_postings[idx]
         self.combo_peaks = {}
 
 
@@ -250,12 +215,18 @@ class _Working:
         if index is not None:
             self.source._index = None
             if block.entries:
-                if self.counts is None:
-                    index.grow(block.entries, self.moved)
-                else:
-                    index.shrink(block.entries, self.moved, self.counts)
+                index.update(block.entries, self.moved)
                 block._index = index
         return block
+
+
+def _merge(w1: _Working, w2: _Working, entries: dict, trace) -> None:
+    """Move donor ``entries`` into the target, tracing the density change."""
+    before = w1.density() if trace is not None else 0.0
+    w1.absorb(entries)
+    w2.shed(entries)
+    if trace is not None:
+        trace.append((before, w1.density()))
 
 
 def _reached(w1_sets, w2: _Working, modes, count: int):
@@ -362,12 +333,8 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
     # Shared entries bring no new id, so absorbing them after the scan
     # leaves every other entry's classification unchanged.
     if common:
-        before = w1.density()
-        w1.absorb(common)
-        w2.shed(common)
+        _merge(w1, w2, common, trace)
         moved_any = True
-        if trace is not None:
-            trace.append((before, w1.density()))
 
     while buckets and heap:
         neg_mass, bucket_key = heapq.heappop(heap)
@@ -378,12 +345,8 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
             break
         entries = buckets.pop(bucket_key)
         del masses[bucket_key]
-        before = w1.density() if trace is not None else 0.0
-        w1.absorb(entries)
-        w2.shed(entries)
+        _merge(w1, w2, entries, trace)
         moved_any = True
-        if trace is not None:
-            trace.append((before, w1.density()))
         mode, idx = bucket_key
         for key in postings[mode][idx]:
             value = w2.entries.get(key)
@@ -427,12 +390,8 @@ def _splice_workings(w1: _Working, w2: _Working, trace) -> None:
                         if idx not in seen:
                             q_now += 1
                 if -neg_mass * w1.size > q_now * w1.mass:
-                    before = w1.density() if trace is not None else 0.0
-                    w1.absorb(entries)
-                    w2.shed(entries)
+                    _merge(w1, w2, entries, trace)
                     updated = True
-                    if trace is not None:
-                        trace.append((before, w1.density()))
                 else:
                     break
         if not updated:

@@ -134,7 +134,6 @@ class EvalReport:
     precision: float
     recall: float
     f_measure: float
-    density_series: list[float] | None = None
 
 
 def _decode_cell(offset: int, shape: Sequence[int]) -> list[int]:

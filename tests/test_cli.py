@@ -290,6 +290,18 @@ class TestEvaluate:
         assert len(report["density_series"]) == 3
         assert "timings" not in report
 
+    @pytest.mark.parametrize("text", ["", "{}", "[]"], ids=["empty", "object", "list"])
+    def test_malformed_truth_is_input_error(self, text, tmp_path, capsys):
+        truth = tmp_path / "t.json"
+        truth.write_text(text)
+        code = main([
+            "evaluate", "--input", str(DATA / "golden_input.tsv"), "--truth", str(truth),
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {truth}: ") and err.count("\n") == 1
+
     def test_timings_flag_adds_seconds(self, tmp_path):
         stream = tmp_path / "s.tsv"
         truth = tmp_path / "t.json"
@@ -304,6 +316,48 @@ class TestEvaluate:
             "--timings", "--output", str(report_path),
         ])
         assert len(json.loads(report_path.read_text())["timings"]) == 2
+
+
+# Small, fast settings that each case below overrides with one bad flag.
+SCALE_FLAGS = [
+    "--sizes", "4,8,16,64", "--repeats", "1", "--oracle-steps", "4",
+    "--oracle-slice-nnz", "20", "--k", "2", "--l", "1",
+]
+STREAM_ARGS = ["--input", str(DATA / "golden_input.tsv"), *RUN_FLAGS]
+EVALUATE_ARGS = [
+    "--input", str(DATA / "golden_input.tsv"), "--truth", str(DATA / "golden_truth.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", *STREAM_ARGS, "--k", "0"],
+        ["run", *STREAM_ARGS, "--l", "-1"],
+        ["run", *STREAM_ARGS, "--max-epochs", "0"],
+        ["oracle", *STREAM_ARGS, "--k", "0"],
+        ["evaluate", *EVALUATE_ARGS, "--max-epochs", "0"],
+        ["scale", *SCALE_FLAGS, "--oracle-steps", "3"],
+        ["scale", *SCALE_FLAGS, "--sizes", "1,2"],
+        ["scale", *SCALE_FLAGS, "--sizes", "0,4,8,64"],
+        ["scale", *SCALE_FLAGS, "--repeats", "0"],
+        ["scale", *SCALE_FLAGS, "--oracle-slice-nnz", "0"],
+    ],
+    ids=["run-k", "run-l", "run-epochs", "oracle-k", "evaluate-epochs",
+         "scale-oracle-steps", "scale-few-sizes", "scale-zero-size", "scale-repeats",
+         "scale-slice-nnz"],
+)
+def test_out_of_range_flag_is_config_error(argv, capsys):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_column_is_config_error(capsys):
+    code = main(["run", *STREAM_ARGS, "--time-col", "-1"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: column indices cannot be negative\n")
 
 
 class TestScale:

@@ -12,9 +12,8 @@ from tensorsplice import (
     ShapeMismatch,
     TensorSlice,
     detect_top_blocks,
-    peel_once,
 )
-from tensorsplice.detect import PeelIndex
+from tensorsplice.detect import PeelIndex, peel_once
 from conftest import (
     brute_force_best_density,
     mk,
@@ -94,30 +93,34 @@ class TestDetectTopBlocks:
             DetectParams(0, 3)
 
 
+def peel(block: Block) -> Block:
+    return peel_once(PeelIndex(block.n_modes, block.entries))
+
+
 class TestPeelOnce:
     def test_uniform_block_returned_whole(self):
         # Every id carries the same mass; no strictly denser state exists,
         # so the earliest (full) state wins.
         uniform = mk({(0, 0, 0): 3, (1, 1, 1): 3, (2, 2, 2): 3})
-        assert peel_once(uniform) == uniform
+        assert peel(uniform) == uniform
 
     def test_single_entry(self):
         b = mk({(1, 1, 1): 2})
-        assert peel_once(b) == b
+        assert peel(b) == b
 
     def test_planted_core(self):
-        core = peel_once(mk(planted_4x4()))
+        core = peel(mk(planted_4x4()))
         assert core.entries == {(u, o, 0): 5 for u in (0, 1) for o in (0, 1)}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            peel_once(Block.empty(3))
+            peel(Block.empty(3))
 
     def test_result_never_less_dense_than_input(self):
         rng = random.Random(21)
         for _ in range(100):
             block = random_block(rng, max_id=3, max_entries=12)
-            got = peel_once(block)
+            got = peel(block)
             assert Fraction(got.mass, got.size) >= Fraction(block.mass, block.size)
 
 

@@ -120,6 +120,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             IngestConfig(mode_cols=(0, 2), time_col=2, stride=1)
 
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            dict(mode_cols=(0, 1), time_col=-1),
+            dict(mode_cols=(0, -3), time_col=2),
+            dict(mode_cols=(0, 1), time_col=2, binned_cols=(-1,)),
+            dict(mode_cols=(0, 1), time_col=2, value_col=-2),
+            dict(mode_cols=(0, 0), time_col=2),
+            dict(mode_cols=(0, 1), time_col=2, binned_cols=(1,)),
+            dict(mode_cols=(0, 1), time_col=2, value_col=1),
+            dict(mode_cols=(0, 1), time_col=2, value_col=2),
+            dict(mode_cols=(0, 1), time_col=2, binned_cols=(3,), value_col=3),
+        ],
+    )
+    def test_negative_or_shared_column_rejected(self, cols):
+        with pytest.raises(ConfigError):
+            IngestConfig(stride=1, **cols)
+
     def test_bad_stride(self):
         for stride in (0, -1, math.inf, math.nan):
             with pytest.raises(ConfigError):
