@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -80,7 +81,8 @@ def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stride", type=float, required=True,
                    help="time-bin width in source units (no default)")
     p.add_argument("--t0", type=float, default=None,
-                   help="stream origin; defaults to the first tuple's time")
+                   help="stream origin; defaults to the first tuple's time "
+                        "floored to a multiple of --stride")
     p.add_argument("--delimiter", default="\t")
     p.add_argument("--time-format", choices=("epoch", "iso"), default="epoch")
     p.add_argument("--header", action="store_true", help="skip the first line")
@@ -224,6 +226,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# Each field ``evaluate`` reads from a truth file: the JSON types it may
+# have, and how an error names them.
+_TRUTH_FIELDS = (
+    ("mode_ids", list, "a list of label lists"),
+    ("span", list, "a list"),
+    ("density", (int, float), "a number"),
+    ("seed", int, "an integer"),
+    ("stride", (int, float), "a number"),
+    ("t0", (int, float), "a number"),
+    ("n_bins", int, "an integer"),
+)
+
+
 def _read_truth(path: str) -> InjectedTruth:
     """The ground truth ``generate`` wrote; anything else is bad input."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -233,16 +248,37 @@ def _read_truth(path: str) -> InjectedTruth:
             raise IngestError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise IngestError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    try:
-        return InjectedTruth.from_json(obj)
-    except KeyError as exc:
-        raise IngestError(f"{path}: truth field {exc} is missing") from None
-    except TypeError as exc:
-        raise IngestError(f"{path}: not a truth file ({exc})") from None
+    for name, types, what in _TRUTH_FIELDS:
+        if name not in obj:
+            raise IngestError(f"{path}: truth field {name!r} is missing")
+        value = obj[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise IngestError(
+                f"{path}: truth field {name!r} must be {what}, got {type(value).__name__}"
+            )
+    labels = obj["mode_ids"]
+    if not labels or not all(
+        isinstance(ids, list) and all(isinstance(label, str) for label in ids)
+        for ids in labels
+    ):
+        raise IngestError(f"{path}: truth field 'mode_ids' must be a non-empty list of label lists")
+    if not 0 < obj["stride"] < math.inf or not math.isfinite(obj["t0"]):
+        raise IngestError(f"{path}: truth fields 'stride' and 't0' must be finite, 'stride' positive")
+    cells = obj.get("cells")
+    if cells is not None and not (
+        isinstance(cells, list) and all(
+            isinstance(cell, list) and all(isinstance(x, (str, int, float)) for x in cell)
+            for cell in cells
+        )
+    ):
+        raise IngestError(f"{path}: truth field 'cells' must be null or a list of cells")
+    return InjectedTruth.from_json(obj)
 
 
 def cmd_evaluate(args) -> int:
     truth = _read_truth(args.truth)
+    if args.per_entry and truth.cells is None:
+        raise IngestError(f"{args.truth}: --per-entry needs the truth's 'cells', which are null")
     n_categorical = len(truth.mode_ids)
     cfg = IngestConfig(
         mode_cols=tuple(range(n_categorical)),

@@ -8,6 +8,13 @@ are reported.
 
 The stream is append-only: retained blocks never lose entries to later
 slices, they only gain mass through splicing.
+
+Pairs that ``splice_pair`` returned unchanged are remembered by block
+serial, so a sweep does not splice them again. Blocks are values and a
+productive splice returns fresh ones, so a remembered pair stays sterile
+for as long as both blocks exist; the memo is carried in ``EngineState``
+from step to step, pruned to pairs of retained blocks, and a step only
+splices pairs that involve a new seed or a block changed since.
 """
 
 from __future__ import annotations
@@ -56,11 +63,15 @@ class EngineConfig:
 
 @dataclass
 class EngineState:
-    """Retained blocks plus the time frontier, between steps."""
+    """Retained blocks, the time frontier and the sterile-pair memo,
+    between steps."""
 
     retained: list[Block] = field(default_factory=list)
     frontier: int = 0  # next bin ordinal to be processed
     step_counter: int = 0
+    # Serial pairs (pool order) that splice_pair returned unchanged, kept
+    # only for pairs of retained blocks.
+    sterile: set[tuple[int, int]] = field(default_factory=set)
 
     @classmethod
     def initial(cls) -> "EngineState":
@@ -111,9 +122,8 @@ def step(
     detected_at = time.perf_counter()
 
     pool = list(state.retained) + incoming
-    # Sterile pairs are remembered by block serial; a productive splice
-    # returns fresh blocks, so staleness cannot hide behind the memo.
-    sterile: set[tuple[int, int]] = set()
+    # Pairs of retained blocks found sterile in earlier steps still are.
+    sterile = set(state.sterile)
     for _ in range(cfg.max_epochs):
         pool.sort(key=_order_key)
         changed = False
@@ -145,6 +155,7 @@ def step(
 
     pool.sort(key=_order_key)
     retained = pool[: cfg.pool_size]
+    kept = {block.serial for block in retained}
     output = StepOutput(
         step_index=state.step_counter,
         time_range=expected,
@@ -158,6 +169,7 @@ def step(
         retained=retained,
         frontier=state.frontier + 1,
         step_counter=state.step_counter + 1,
+        sterile={pair for pair in sterile if pair[0] in kept and pair[1] in kept},
     )
     return new_state, output
 

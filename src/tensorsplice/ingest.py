@@ -4,8 +4,9 @@ Mode layout convention, used everywhere downstream: the categorical
 columns come first in their configured order, then any extra time-binned
 columns, and the streaming time bin is always the last mode.
 
-Timestamps are shifted by the stream origin ``t0`` (the first tuple's
-timestamp unless configured) and binned with floor semantics, so a tuple
+Timestamps are shifted by the stream origin ``t0`` (unless configured,
+the first tuple's timestamp floored to a multiple of the stride, so bins
+align with the stride) and binned with floor semantics, so a tuple
 at time t lands in bin ``floor((t - t0) / stride)``. The same origin and
 stride apply to extra time-binned columns.
 """
@@ -146,6 +147,18 @@ def _time_bin(ts, t0, stride, lineno: int, raw: str, origin: str, binned_col=Non
     raise BadTimestamp(f"{what} {problem}", lineno)
 
 
+def _floored_origin(ts: float, stride: int | float) -> int | float:
+    """``ts`` floored to a multiple of ``stride``, or ``ts`` itself when the
+    quotient overflows."""
+    steps = ts / stride
+    if not math.isfinite(steps):
+        return ts
+    t0 = math.floor(steps) * stride
+    if t0 > ts:  # the quotient rounded up to a whole number
+        t0 -= stride
+    return int(t0) if float(t0).is_integer() else t0
+
+
 def _parse_value(raw: str, lineno: int) -> int | float:
     try:
         value = int(raw)
@@ -200,9 +213,10 @@ def parse_tuples(
             raw_ts = parts[cfg.time_col]
             ts = _parse_timestamp(raw_ts, cfg.time_format, lineno)
             if t0 is None:
-                t0 = ts
+                t0 = _floored_origin(ts, cfg.stride)
                 origin = (
-                    f" {raw_ts}, taken from the first tuple (line {lineno}); "
+                    f" {t0}, the first tuple's time {raw_ts} (line {lineno}) "
+                    "floored to a multiple of the stride; "
                     "pass --t0 with the earliest timestamp"
                 )
             time_bin = _time_bin(ts, t0, cfg.stride, lineno, raw_ts, origin)

@@ -4,7 +4,7 @@ Given a denser target block and a donor block, a merge of a donor
 sub-block with mass m that introduces q previously-unseen ids raises the
 target's density exactly when ``m > q * target_density``. The pair
 splicer applies this test greedily: it first determines the modes forced
-to contribute new ids (the modes where the blocks share none), buckets
+to contribute new ids (the modes where the blocks share none), groups
 the donor's entries into sub-blocks adding exactly one new id per such
 mode, and merges them largest mass first while the test keeps passing.
 When every mode already overlaps, entries fully covered by shared ids
@@ -13,21 +13,34 @@ repeats until a full pass moves nothing.
 
 A donor is read through its splice index, built the first time the block
 is spliced and cached on it: per-mode postings from each id to its entry
-keys in entry order, each key's ordinal, and, per set of forced modes,
-the heaviest sum of the entries sharing one id combination on them. A
-pass with forced modes first tries a sub-block with one new id per
-forced mode, which weighs at most that heaviest combination (widened for
-float rounding), so when even that cannot pass the test the pair is
-sterile and comes back without an entry scan; the sums read the donor at
-most once per set of forced modes until the donor changes. Otherwise
-only entries that can survive the shared-id filter are visited: those
-reached through the shared ids of the cheapest free mode, or, when every
-mode overlaps, of the two cheapest modes, since an entry with at most
-one unseen id is shared on one of any two modes. They are put back in
-entry order, so merges and mass sums match a scan of the whole donor
-exactly. A productive splice moves each input's index to the block that
-replaces it and re-indexes only the ids the merges touched; the input's
-cache is cleared and rebuilt if that block is ever spliced again.
+keys in entry order, each key's ordinal, an upper bound ``vmax`` on its
+entry values, and, per set of forced modes, the heaviest sum of the
+entries sharing one id combination on them. A pass with forced modes
+first tries a sub-block with one new id per forced mode. Its entries take
+every other id from the ids both blocks share, so it holds at most one
+entry per combination of those shared ids, and weighs at most ``vmax``
+times their number; when even that cannot pass the test, the pair is
+sterile and comes back without reading an entry. Otherwise the heaviest
+combination decides the same; its sums read the donor at most once per
+set of forced modes until the donor changes. Both bounds are widened
+past float rounding.
+
+A pass that goes on visits only entries that can survive the shared-id
+filter: those reached through the shared ids of the cheapest free mode,
+or, when every mode overlaps, of the two cheapest modes, since an entry
+with at most one unseen id is shared on one of any two modes. They are
+put back in entry order, so merges and mass sums match a scan of the
+whole donor exactly. With forced modes, one walk sums each
+combination's mass, and a combination's entries are gathered from its
+forced-mode postings only once it passes the test; a pass stops at its
+first failure, so most combinations are never gathered.
+
+A productive splice moves each input's index to the block that replaces
+it. Keys that stay, and keys a target gains, only append to the
+postings; only the ids of keys that left the block are filtered back to
+live keys, so a target's update never re-reads its postings. The
+input's cache is cleared and rebuilt if that block is ever spliced
+again.
 
 All density comparisons are cross-multiplied so integer-valued blocks are
 handled exactly. The pair splicer works on copy-on-write state, so a
@@ -60,12 +73,12 @@ class _SpliceIndex:
 
     ``postings[m][id]`` lists the keys holding ``id`` on mode ``m`` in
     entry order, as a fresh build would. ``order`` maps keys to ordinals
-    that rise with entry order. ``combo_peaks`` caches, per forced-mode
-    tuple, the heaviest sum of the entries sharing one id combination on
-    those modes.
+    that rise with entry order. ``vmax`` is at least the block's largest
+    entry value. ``combo_peaks`` caches, per forced-mode tuple, the
+    heaviest sum of the entries sharing one id combination on those modes.
     """
 
-    __slots__ = ("order", "next_ordinal", "postings", "combo_peaks")
+    __slots__ = ("order", "next_ordinal", "postings", "vmax", "combo_peaks")
 
     def __init__(self, block: Block):
         entries = block.entries
@@ -81,7 +94,23 @@ class _SpliceIndex:
                 else:
                     keys.append(key)
             self.postings.append(postings)
+        self.vmax = max(entries.values())
         self.combo_peaks: dict[tuple, int | float] = {}
+
+    def rules_out_by_shared_ids(self, donor: Block, target: Block, q_modes: tuple) -> bool:
+        """True when no donor sub-block with one new id on each forced mode
+        can raise ``target``, judged without reading the donor's entries.
+
+        Such a sub-block's entries share their forced-mode ids and, to be
+        usable, take every other id from the ids both blocks hold, so it
+        has at most one entry per combination of those shared ids, each
+        weighing at most ``vmax``.
+        """
+        combos = 1
+        for mode, (mine, theirs) in enumerate(zip(target.index_sets, donor.index_sets)):
+            if mode not in q_modes:
+                combos *= len(mine.intersection(theirs))
+        return _fails(self.vmax * combos, donor, q_modes, target.mass, target.size)
 
     def rules_out(self, donor: Block, q_modes: tuple, mass, size) -> bool:
         """True when no donor sub-block with one new id on each forced mode
@@ -94,38 +123,54 @@ class _SpliceIndex:
                 combo = combo_of(key)
                 sums[combo] = sums.get(combo, 0) + value
             peak = self.combo_peaks[q_modes] = max(sums.values())
-        if not isinstance(donor.mass, int):
-            # Any float sum of at most nnz positive values, in any order,
-            # is within a relative nnz * 2**-53 of the exact sum; widen the
-            # bound past the error of both it and the candidate's own sum.
-            peak *= 1 + (donor.nnz + 1) * 2.0**-50
-        return peak * size <= len(q_modes) * mass
+        return _fails(peak, donor, q_modes, mass, size)
 
     def update(self, entries: dict, moved: list[dict]) -> None:
         """Re-index after the dicts in ``moved`` were summed into or taken
-        out of ``entries``."""
+        out of ``entries``.
+
+        A key that stays only appends to the postings, so only the ids of
+        keys that left the block are filtered back to live keys.
+        """
         order = self.order
         postings = self.postings
-        touched: list[dict[int, None]] = [{} for _ in postings]
+        vmax = self.vmax
+        left: list[dict[int, None]] = [{} for _ in postings]
         for changed in moved:
             for key in changed:
-                if key not in entries:
+                value = entries.get(key)
+                if value is None:
                     del order[key]
-                elif key not in order:
+                    for mode, idx in enumerate(key):
+                        left[mode][idx] = None
+                    continue
+                if value > vmax:
+                    vmax = value
+                if key not in order:
                     order[key] = self.next_ordinal
                     self.next_ordinal += 1
                     for mode, idx in enumerate(key):
                         postings[mode].setdefault(idx, []).append(key)
-                for mode, idx in enumerate(key):
-                    touched[mode][idx] = None
-        for mode_postings, ids in zip(postings, touched):
+        for mode_postings, ids in zip(postings, left):
             for idx in ids:
                 keys = [key for key in mode_postings[idx] if key in entries]
                 if keys:
                     mode_postings[idx] = keys
                 else:
                     del mode_postings[idx]
+        self.vmax = vmax
         self.combo_peaks = {}
+
+
+def _fails(heaviest, donor: Block, q_modes: tuple, mass, size) -> bool:
+    """True when a candidate of mass at most ``heaviest`` that adds one new
+    id per forced mode cannot raise a target of this mass and size."""
+    if not isinstance(donor.mass, int):
+        # Any float sum of at most nnz positive values, in any order,
+        # is within a relative nnz * 2**-53 of the exact sum; widen the
+        # bound past the error of both it and the candidate's own sum.
+        heaviest *= 1 + (donor.nnz + 1) * 2.0**-50
+    return heaviest * size <= len(q_modes) * mass
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +306,68 @@ def _reached(w1_sets, w2: _Working, modes, count: int):
     return sorted([key for key in keys if key in entries], key=w2.index.order.__getitem__)
 
 
-def _bucket_by_combo(w1_sets, w2: _Working, q_modes, free_modes) -> dict:
-    """Group donor entries by their id combination on the forced modes.
+def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
+    """One pass with forced modes: merge candidates heaviest first, ties
+    by combination, while the merge test passes.
 
-    Entries whose ids on non-forced modes are not all shared with the
-    target drop out, so only combinations with usable mass materialize.
+    A candidate is the donor entries sharing one id combination on the
+    forced modes whose other ids the target already holds. Their masses
+    are summed in one walk; a candidate's entries are gathered from the
+    postings of its forced-mode ids only once it passes the test. Merges
+    add forced-mode ids only, so the target's other id sets stay fixed
+    for the whole pass and a late gather selects the same entries.
     """
     entries = w2.entries
-    checks = [(m, w1_sets[m]) for m in free_modes]
+    postings = w2.index.postings
+    free = [(m, w1.sets[m]) for m in range(w1.n) if m not in q_modes]
     combo_of = itemgetter(*q_modes)  # a bare id when one mode is forced
-    buckets: dict = {}
-    for key in _reached(w1_sets, w2, free_modes, 1):
-        for m, seen in checks:
+    masses: dict = {}
+    spread: dict = {}  # values in entry order of the combinations seen twice
+    for key in _reached(w1.sets, w2, [m for m, _ in free], 1):
+        for m, seen in free:
             if key[m] not in seen:
                 break
         else:
             combo = combo_of(key)
-            bucket = buckets.get(combo)
-            if bucket is None:
-                buckets[combo] = {key: entries[key]}
+            first = masses.get(combo)
+            if first is None:
+                masses[combo] = entries[key]
             else:
-                bucket[key] = entries[key]
-    return buckets
+                values = spread.get(combo)
+                if values is None:
+                    spread[combo] = [first, entries[key]]
+                else:
+                    values.append(entries[key])
+    for combo, values in spread.items():
+        # sum() as a merge adds the mass up: from 3.12 on it is compensated,
+        # so a running + can differ from it.
+        masses[combo] = sum(values)
+    heap = [(-mass, combo) for combo, mass in masses.items()]
+    heapq.heapify(heap)
+    merged = False
+    while heap:
+        neg_mass, combo = heapq.heappop(heap)
+        ids = (combo,) if len(q_modes) == 1 else combo
+        # Earlier merges this pass may have made some of these ids common.
+        q_now = 0
+        for m, idx in zip(q_modes, ids):
+            if idx not in w1.sets[m]:
+                q_now += 1
+        if not -neg_mass * w1.size > q_now * w1.mass:
+            break
+        mode, idx = min(zip(q_modes, ids), key=lambda pair: len(postings[pair[0]][pair[1]]))
+        candidate = {}
+        for key in postings[mode][idx]:
+            value = entries.get(key)
+            if value is not None and combo_of(key) == combo:
+                for m, seen in free:
+                    if key[m] not in seen:
+                        break
+                else:
+                    candidate[key] = value
+        _merge(w1, w2, candidate, trace)
+        merged = True
+    return merged
 
 
 def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
@@ -367,33 +452,12 @@ def _forced_modes(sets1, sets2) -> tuple:
 
 
 def _splice_workings(w1: _Working, w2: _Working, trace) -> None:
-    n = w1.n
     while w2.entries:
-        updated = False
         q_modes = _forced_modes(w1.sets, w2.sets)
-        if not q_modes:
-            updated = _empty_q_drain(w1, w2, trace)
+        if q_modes:
+            updated = _forced_pass(w1, w2, q_modes, trace)
         else:
-            free_modes = [m for m in range(n) if m not in q_modes]
-            buckets = _bucket_by_combo(w1.sets, w2, q_modes, free_modes)
-            heap = [(-sum(e.values()), combo) for combo, e in buckets.items()]
-            heapq.heapify(heap)
-            while heap:
-                neg_mass, combo = heapq.heappop(heap)
-                entries = buckets[combo]
-                # Earlier merges this pass may have made some of this
-                # candidate's ids common, so recount before testing.
-                q_now = 0
-                for m in range(n):
-                    seen = w1.sets[m]
-                    for idx in {key[m] for key in entries}:
-                        if idx not in seen:
-                            q_now += 1
-                if -neg_mass * w1.size > q_now * w1.mass:
-                    _merge(w1, w2, entries, trace)
-                    updated = True
-                else:
-                    break
+            updated = _empty_q_drain(w1, w2, trace)
         if not updated:
             break
 
@@ -428,7 +492,10 @@ def splice_pair(
     # The first candidate of a pass with forced modes adds exactly one new
     # id per forced mode; if even the heaviest possible one fails, so
     # does the pass, and nothing merges.
-    if q_modes and index.rules_out(b2, q_modes, b1.mass, b1.size):
+    if q_modes and (
+        index.rules_out_by_shared_ids(b2, b1, q_modes)
+        or index.rules_out(b2, q_modes, b1.mass, b1.size)
+    ):
         return b1, b2
     w1 = _Working(b1, b1._index if b1 is not b2 else None)
     w2 = _Working(b2, index)

@@ -8,6 +8,7 @@ check.
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:  # allow running the suite without installing
@@ -24,6 +26,16 @@ from tensorsplice import Block, NotASubblock, ShapeMismatch  # noqa: E402
 from tensorsplice.detect import DetectParams, detect_top_blocks  # noqa: E402
 from tensorsplice.engine import _denser_first, _order_key  # noqa: E402
 from tensorsplice.splice import splice_pair  # noqa: E402
+
+# HYPOTHESIS_PROFILE=ci runs the property tests with ten times their
+# examples; without it, every test keeps the count it names.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def examples(n: int) -> int:
+    """``n`` scaled by the loaded profile, against Hypothesis's default 100."""
+    return n * settings().max_examples // 100
 
 
 def mk(entries: dict, n_modes: int = 3) -> Block:

@@ -238,26 +238,40 @@ class TestGenerate:
             paths.append((out.read_bytes(), truth.read_bytes()))
         assert paths[0] == paths[1]
 
-    def test_run_without_t0_names_the_default_origin(self, tmp_path, capsys):
+    def test_run_without_t0_matches_origin_zero(self, tmp_path):
         # The generator shuffles tuples within a bin, so its first line is
-        # not its earliest; the default origin then rejects a later line.
+        # not its earliest; flooring that line's time to the stride gives
+        # the truth's origin 0 all the same.
         stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
         assert main([*self.GEN, "--output", str(stream), "--truth", str(truth)]) == 0
-        first_time = stream.read_text().split("\t", 3)[2]
-        stride = str(json.loads(truth.read_text())["stride"])
-        capsys.readouterr()
+        assert json.loads(truth.read_text())["t0"] == 0
+        outputs = []
+        for origin in ([], ["--t0", "0"]):
+            out = tmp_path / f"run{len(outputs)}.jsonl"
+            code = main([
+                "run", "--input", str(stream), "--modes", "0,1", "--time-col", "2",
+                "--value-col", "3", "--stride", "100", *origin, "--output", str(out),
+            ])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 2
+
+    def test_bin_before_the_first_lines_bin_names_the_default_origin(self, tmp_path, capsys):
+        # 150 floors to the origin 100; 110 shares its bin, 90 precedes it.
+        stream = tmp_path / "s.tsv"
+        stream.write_text("a\tb\t150\t1\na\tc\t110\t1\na\tb\t90\t1\n")
         out = tmp_path / "run.jsonl"
         code = main([
             "run", "--input", str(stream), "--modes", "0,1", "--time-col", "2",
-            "--value-col", "3", "--stride", stride, "--output", str(out),
+            "--value-col", "3", "--stride", "100", "--output", str(out),
         ])
         assert code == 2
         assert out.read_bytes() == b""
         err = capsys.readouterr().err.strip()
-        assert re.fullmatch(
-            rf"error: line \d+: timestamp '\d+' precedes the stream origin {first_time}, "
-            r"taken from the first tuple \(line 1\); pass --t0 with the earliest timestamp",
-            err,
+        assert err == (
+            "error: line 3: timestamp '90' precedes the stream origin 100, the first "
+            "tuple's time 150 (line 1) floored to a multiple of the stride; "
+            "pass --t0 with the earliest timestamp"
         ), err
 
     def test_infeasible_density_is_config_error(self, tmp_path, capsys):
@@ -268,6 +282,13 @@ class TestGenerate:
         ])
         assert code == 3  # infeasible spec rejected before any file is written
         assert not (tmp_path / "x.tsv").exists()
+
+
+# A well-formed truth file, for cases that break one field of it.
+TRUTH = (
+    '{"schema":"tensorsplice/1","mode_ids":[["a"]],"span":[0,1],"density":1.0,'
+    '"seed":0,"stride":1,"t0":0,"n_bins":1,"cells":null}'
+)
 
 
 class TestEvaluate:
@@ -290,13 +311,33 @@ class TestEvaluate:
         assert len(report["density_series"]) == 3
         assert "timings" not in report
 
-    @pytest.mark.parametrize("text", ["", "{}", "[]"], ids=["empty", "object", "list"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "{}", "[]", TRUTH.replace('"mode_ids":[["a"]]', '"mode_ids":5'),
+         TRUTH.replace('"stride":1', '"stride":"x"')],
+        ids=["empty", "object", "list", "mode-ids-int", "stride-str"],
+    )
     def test_malformed_truth_is_input_error(self, text, tmp_path, capsys):
         truth = tmp_path / "t.json"
         truth.write_text(text)
         code = main([
             "evaluate", "--input", str(DATA / "golden_input.tsv"), "--truth", str(truth),
         ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {truth}: ") and err.count("\n") == 1
+
+    def test_well_formed_truth_is_read(self, tmp_path):
+        truth = tmp_path / "t.json"
+        truth.write_text(TRUTH)
+        assert tensorsplice.cli._read_truth(str(truth)).mode_ids == [["a"]]
+
+    def test_per_entry_without_cells_is_input_error(self, tmp_path, capsys):
+        stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
+        stream.write_text("a\t0\t1\n")
+        truth.write_text(TRUTH)
+        code = main(["evaluate", "--input", str(stream), "--truth", str(truth), "--per-entry"])
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""

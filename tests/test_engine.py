@@ -17,7 +17,7 @@ from tensorsplice import (
     step,
 )
 from tensorsplice.cli import iter_rerun_outputs
-from conftest import family_violations, ordered_pair, reference_sweep
+from conftest import examples, family_violations, ordered_pair, reference_sweep
 
 # Both consumers of the shared bin partition: the tracking engine and the
 # full re-detection baseline.
@@ -243,7 +243,7 @@ def bin_streams(draw):
     return n_modes, bins
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(stream=bin_streams(), k=st.integers(1, 3), l=st.integers(0, 2))
 @example(
     stream=(2, [{(0, 0): 3, (1, 0): 4, (2, 0): 6}, {(0, 1): 4, (1, 1): 1, (2, 1): 9}]),

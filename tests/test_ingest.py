@@ -51,6 +51,13 @@ class TestParsing:
         events, _ = parse_all(lines, csv_cfg())
         assert [e.ids[-1] for e in events] == [0, 0, 1, 1, 2]
 
+    def test_default_origin_floors_to_the_stride(self):
+        # Origin 100, not 130: 160 starts the next bin of the stride grid.
+        events, _ = parse_all(["a,b,130", "a,b,149", "a,b,160"], csv_cfg())
+        assert [e.ids[-1] for e in events] == [0, 0, 1]
+        events, _ = parse_all(["a,b,0.75", "a,b,1.0"], csv_cfg(stride=0.5))
+        assert [e.ids[-1] for e in events] == [0, 1]
+
     def test_explicit_origin_override(self):
         events, _ = parse_all(["a,b,100"], csv_cfg(t0=0))
         assert events[0].ids[-1] == 2

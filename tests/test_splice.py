@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from conftest import (
     _ref_bucket_by_combo,
     empty_q_step,
     enumerate_candidates,
+    examples,
     family_violations,
     mk,
     new_id_count,
@@ -377,7 +379,7 @@ def exact_view(block: Block):
     return list(block.entries.items()), repr(block.mass), block.index_sets
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(drawn=block_pools())
 def test_splice_pair_matches_scanning_reference(drawn):
     pool, pairs = drawn
@@ -396,9 +398,10 @@ def assert_fresh(index: _SpliceIndex, block: Block) -> None:
     assert index.postings == fresh.postings
     assert sorted(index.order, key=index.order.get) == list(block.entries)
     assert index.next_ordinal > max(index.order.values())
+    assert index.vmax >= fresh.vmax == max(block.entries.values())
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(drawn=block_pools())
 def test_moved_index_matches_fresh_index(drawn):
     pool, pairs = drawn
@@ -411,7 +414,75 @@ def test_moved_index_matches_fresh_index(drawn):
                 assert_fresh(block._index, block)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
+@given(drawn=block_pools())
+def test_target_index_after_appends_matches_fresh_index(drawn):
+    # Every block starts indexed, so each target carries its index into
+    # the splice and only appends keys to it.
+    pool, pairs = drawn
+    for block in pool:
+        block._index = _SpliceIndex(block)
+    for a, b, got in splice_chain(pool, pairs):
+        if got[0] is not a:
+            assert got[0]._index is not None
+            assert_fresh(got[0]._index, got[0])
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(drawn=block_pools())
+def test_shared_id_bound_never_rejects_a_productive_pair(drawn):
+    # The pool after the drawn splices: indices moved through merges hold
+    # a vmax that sheds may have left loose.
+    pool, pairs = drawn
+    for _ in splice_chain(pool, pairs):
+        pass
+    for x in pool:
+        for y in pool:
+            if x is y:
+                continue
+            a, b = ordered_pair(x, y)
+            q_modes = _forced_modes(a.index_sets, b.index_sets)
+            index = b._index or _SpliceIndex(b)
+            if q_modes and index.rules_out_by_shared_ids(b, a, q_modes):
+                r1, r2 = reference_splice_pair(a, b)
+                assert r1 is a and r2 is b
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(
+    n_modes=st.integers(2, 4),
+    data=st.data(),
+    nudge=st.integers(-3, 3),
+)
+def test_shared_id_bound_holds_within_rounding_of_the_merge_test(n_modes, data, nudge):
+    # A donor whose one forced-mode combination fills every shared
+    # free-mode combination with the same value, so the candidate weighs
+    # what the bound allows, and a float target within a few ulps of
+    # m * size == q * mass, on either side.
+    forced = data.draw(st.sets(st.integers(0, n_modes - 1), min_size=1))
+    value = data.draw(st.sampled_from([1, 7, 0.1, 0.3, 0.7, 3.3, 1e16]))
+    extent = data.draw(st.integers(1, 3))
+    ranges = [[0] if m in forced else range(extent) for m in range(n_modes)]
+    donor = Block(n_modes, dict.fromkeys(product(*ranges), value))
+    keys = {
+        tuple(100 if m in forced else r for m in range(n_modes)) for r in range(extent)
+    }
+    q_modes = tuple(sorted(forced))
+    size = sum(len({k[m] for k in keys}) for m in range(n_modes))
+    heaviest = sum(donor.entries.values())
+    share = heaviest * size / len(q_modes) / len(keys)
+    for _ in range(abs(nudge)):
+        share = math.nextafter(share, math.inf if nudge > 0 else 0.0)
+    target = Block(n_modes, dict.fromkeys(keys, share))
+    assume(target.mass * donor.size >= donor.mass * target.size)
+    assert _forced_modes(target.index_sets, donor.index_sets) == q_modes
+    if _SpliceIndex(donor).rules_out_by_shared_ids(donor, target, q_modes):
+        assert not heaviest * target.size > len(q_modes) * target.mass
+        r1, r2 = reference_splice_pair(target, donor)
+        assert r1 is target and r2 is donor
+
+
+@settings(max_examples=examples(300), deadline=None)
 @given(drawn=block_pools())
 def test_bound_never_rejects_a_productive_pair(drawn):
     pool, _ = drawn
@@ -426,7 +497,7 @@ def test_bound_never_rejects_a_productive_pair(drawn):
                 assert r1 is a and r2 is b
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     n_modes=st.integers(2, 4),
     data=st.data(),
