@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
 
 from .blocks import Event, TensorSlice
@@ -129,8 +130,22 @@ def _engine_config(args, n_modes: int, stride: int | float) -> EngineConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _open_output(path: str | None) -> TextIO:
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """stdout when ``path`` is None, else the file at ``path``, closed on
+    any exit. An empty ``--output`` also means stdout, so callers pass
+    ``args.output or None``; an empty ``--truth`` stays a file error."""
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        yield handle
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    with _output(path) as out:
+        json.dump(payload, out, separators=(",", ":"))
+        out.write("\n")
 
 
 def _read_events(
@@ -181,8 +196,7 @@ def cmd_stream(args) -> int:
     steps = 0
     detect_s = splice_s = 0.0
     started = time.perf_counter()
-    out = _open_output(args.output)
-    try:
+    with _output(args.output or None) as out:
         events = _read_events(args.input, cfg, dicts, counts)
         for output in outputs_of(events, engine_cfg):
             out.write(emit_step_output(output, dicts))
@@ -190,9 +204,6 @@ def cmd_stream(args) -> int:
             steps += 1
             detect_s += output.timing["detect"]
             splice_s += output.timing["splice"]
-    finally:
-        if out is not sys.stdout:
-            out.close()
     wall = time.perf_counter() - started
     print(
         f"steps={steps} nnz={counts['nnz']} detect={detect_s:.3f}s "
@@ -219,9 +230,7 @@ def cmd_generate(args) -> int:
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
         handle.write("\n")
-    with open(args.truth, "w", encoding="utf-8") as handle:
-        json.dump(truth.to_json(), handle, separators=(",", ":"))
-        handle.write("\n")
+    _write_json(args.truth, truth.to_json())
     print(f"tuples={len(lines)} injected={spec.injected_nnz}", file=sys.stderr)
     return 0
 
@@ -311,13 +320,7 @@ def cmd_evaluate(args) -> int:
     }
     if args.timings:
         payload["timings"] = timings
-    out = _open_output(args.output)
-    try:
-        json.dump(payload, out, separators=(",", ":"))
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_json(args.output or None, payload)
     return 0
 
 
@@ -331,30 +334,18 @@ def cmd_scale(args) -> int:
         raise ConfigError("--repeats and --oracle-slice-nnz must be at least 1")
     if args.oracle_steps < 4:
         raise ConfigError("--oracle-steps must be at least 4")
-    engine = scaling_run(sizes, cfg=cfg, seed=args.seed, repeats=args.repeats)
-    baseline = rerun_scaling_run(
-        args.oracle_steps, args.oracle_slice_nnz, cfg=cfg, seed=args.seed
-    )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "engine": {
-            "slope": engine.slope,
-            "ci95": [engine.ci_low, engine.ci_high],
-            "points": engine.points,
-        },
-        "rerun_baseline": {
-            "slope": baseline.slope,
-            "ci95": [baseline.ci_low, baseline.ci_high],
-            "points": baseline.points,
-        },
+    fits = {
+        "engine": scaling_run(sizes, cfg=cfg, seed=args.seed, repeats=args.repeats),
+        "rerun_baseline": rerun_scaling_run(
+            args.oracle_steps, args.oracle_slice_nnz, cfg=cfg, seed=args.seed
+        ),
     }
-    out = _open_output(args.output)
-    try:
-        json.dump(payload, out, separators=(",", ":"))
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    payload = {"schema": SCHEMA_VERSION}
+    for name, fit in fits.items():
+        payload[name] = {
+            "slope": fit.slope, "ci95": [fit.ci_low, fit.ci_high], "points": fit.points,
+        }
+    _write_json(args.output or None, payload)
     return 0
 
 
@@ -363,17 +354,15 @@ def build_parser() -> _Parser:
                      description="streaming top-k dense block tracking")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="stream a tuple file, one JSON line per stride")
-    _add_ingest_flags(p)
-    _add_engine_flags(p)
-    p.add_argument("--output", default=None, help="default: stdout")
-    p.set_defaults(func=cmd_stream)
-
-    p = sub.add_parser("oracle", help="full re-detection baseline, same schema")
-    _add_ingest_flags(p)
-    _add_engine_flags(p)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_stream)
+    for name, text in (
+        ("run", "stream a tuple file, one JSON line per stride"),
+        ("oracle", "full re-detection baseline, same schema"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_ingest_flags(p)
+        _add_engine_flags(p)
+        p.add_argument("--output", default=None, help="default: stdout")
+        p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("generate", help="synthesize a stream with a planted block")
     p.add_argument("--block", required=True, help="planted shape, e.g. 50x20")

@@ -136,18 +136,15 @@ def step(
                 if pair_key in sterile:
                     continue
                 if _denser_first(a, b):
-                    donor_nnz = b.nnz
-                    a, b = splice_pair(a, b)
-                    moved = b.nnz != donor_nnz
+                    new_a, new_b = splice_pair(a, b)
                 else:
-                    donor_nnz = a.nnz
-                    b, a = splice_pair(b, a)
-                    moved = a.nnz != donor_nnz
-                if moved:
-                    changed = True
-                    pool[i], pool[j] = a, b
-                else:
+                    new_b, new_a = splice_pair(b, a)
+                # A sterile pair comes back as the same objects.
+                if new_a is a and new_b is b:
                     sterile.add(pair_key)
+                else:
+                    changed = True
+                    pool[i], pool[j] = new_a, new_b
         pool = [blk for blk in pool if not blk.is_empty]
         if not changed:
             break

@@ -34,10 +34,6 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "tensorsplice/1"
 
-CATEGORICAL = "categorical"
-BINNED = "binned"
-TIME = "time"
-
 
 @dataclass
 class IngestConfig:
@@ -61,6 +57,8 @@ class IngestConfig:
             raise ConfigError("stride must be positive and finite")
         if self.t0 is not None and not math.isfinite(self.t0):
             raise ConfigError("t0 must be finite")
+        if not self.delimiter:
+            raise ConfigError("delimiter cannot be empty")
         cols = [*self.mode_cols, *self.binned_cols, self.time_col]
         if self.value_col is not None:
             cols.append(self.value_col)
@@ -77,35 +75,25 @@ class IngestConfig:
     def n_modes(self) -> int:
         return len(self.mode_cols) + len(self.binned_cols) + 1
 
-    @property
-    def mode_kinds(self) -> tuple[str, ...]:
-        return (
-            (CATEGORICAL,) * len(self.mode_cols)
-            + (BINNED,) * len(self.binned_cols)
-            + (TIME,)
-        )
-
 
 class ModeDictionary:
-    """Per-mode raw-value <-> dense-id maps.
+    """Raw-label <-> dense-id maps for the categorical modes, which come
+    first and assign dense ids in first-seen order.
 
-    Categorical modes assign dense ids in first-seen order; time-binned
-    modes and the streaming time mode are identity (the bin ordinal is
-    the id).
+    Every later mode (the time-binned columns and the streaming time) is
+    a bin ordinal that ``parse_tuples`` computes itself, and decodes to
+    itself.
     """
 
-    def __init__(self, kinds: tuple[str, ...]):
-        self.kinds = kinds
-        self._to_id: list[dict[str, int]] = [{} for _ in kinds]
-        self._to_raw: list[list[str]] = [[] for _ in kinds]
+    def __init__(self, n_categorical: int):
+        self._to_id: list[dict[str, int]] = [{} for _ in range(n_categorical)]
+        self._to_raw: list[list[str]] = [[] for _ in range(n_categorical)]
 
     @classmethod
     def for_config(cls, cfg: IngestConfig) -> "ModeDictionary":
-        return cls(cfg.mode_kinds)
+        return cls(len(cfg.mode_cols))
 
     def encode(self, mode: int, raw: str) -> int:
-        if self.kinds[mode] != CATEGORICAL:
-            return int(raw)
         table = self._to_id[mode]
         idx = table.get(raw)
         if idx is None:
@@ -115,9 +103,7 @@ class ModeDictionary:
         return idx
 
     def decode(self, mode: int, idx: int) -> str | int:
-        if self.kinds[mode] != CATEGORICAL:
-            return idx
-        return self._to_raw[mode][idx]
+        return self._to_raw[mode][idx] if mode < len(self._to_raw) else idx
 
     def size(self, mode: int) -> int:
         return len(self._to_raw[mode])

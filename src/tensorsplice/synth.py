@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 from .blocks import Event, TensorSlice
 from .engine import EngineConfig, EngineState, StepOutput, step
 from .errors import DensityInfeasible
-from .ingest import ModeDictionary
+from .ingest import SCHEMA_VERSION, ModeDictionary
 from .detect import DetectParams, detect_top_blocks
 
 _PREFIXES = ("u", "i", "a", "b", "c", "d")
@@ -60,6 +60,14 @@ class InjectionSpec:
             raise DensityInfeasible("block and background mode counts differ")
         if not self.block_shape or any(c < 1 for c in self.block_shape):
             raise DensityInfeasible("block cardinalities must be positive")
+        if any(c < 1 for c in self.background_shape):
+            raise DensityInfeasible("background cardinalities must be positive")
+        if self.background_tuples < 0:
+            raise DensityInfeasible("background tuple count cannot be negative")
+        if self.stride < 1:
+            raise DensityInfeasible("stride must be at least 1")
+        if not math.isfinite(self.density):
+            raise DensityInfeasible("density must be finite")
         if self.span_bins < 1 or self.start_bin < 0:
             raise DensityInfeasible("span must cover at least one bin")
         if self.start_bin + self.span_bins > self.n_bins:
@@ -100,31 +108,15 @@ class InjectedTruth:
     n_bins: int
     cells: list | None = None
 
+    def __post_init__(self):
+        self.span = tuple(self.span)
+
     def to_json(self) -> dict:
-        return {
-            "schema": "tensorsplice/1",
-            "mode_ids": self.mode_ids,
-            "span": list(self.span),
-            "density": self.density,
-            "seed": self.seed,
-            "stride": self.stride,
-            "t0": self.t0,
-            "n_bins": self.n_bins,
-            "cells": self.cells,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "InjectedTruth":
-        return cls(
-            mode_ids=obj["mode_ids"],
-            span=tuple(obj["span"]),
-            density=obj["density"],
-            seed=obj["seed"],
-            stride=obj["stride"],
-            t0=obj["t0"],
-            n_bins=obj["n_bins"],
-            cells=obj.get("cells"),
-        )
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 @dataclass
@@ -372,10 +364,9 @@ def rerun_scaling_run(
     total_nnz = 0
     params = DetectParams(cfg.pool_size, cfg.n_modes)
     for b in range(n_steps):
-        offset = b * shape[0]
-        for _ in range(slice_nnz):
-            ids = tuple(offset + rng.randrange(card) for card in shape) + (b,)
-            accumulated.add(Event(ids, 1))
+        # Keys never collide across bins, because time is the last mode.
+        slice_ = _random_slice(slice_nnz, shape, b, rng, id_offset=b * shape[0])
+        accumulated.entries.update(slice_.entries)
         total_nnz += slice_nnz
         started = time.perf_counter()
         detect_top_blocks(accumulated, params)

@@ -137,6 +137,25 @@ class TestRun:
         code = main(["run", "--input", str(bad), *RUN_FLAGS])
         assert code == 2
 
+    def test_output_file_keeps_steps_before_a_malformed_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("a\tb\t0\t1\na\tb\t100\t1\na\tb\t200\t1\nbroken\n")
+        out = tmp_path / "run.jsonl"
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(tensorsplice.cli, "open", recording_open, raising=False)
+        code = main(["run", "--input", str(bad), *RUN_FLAGS, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 4: ")
+        assert handles and all(handle.closed for handle in handles)
+        assert [json.loads(line)["step"] for line in out.read_text().splitlines()] == [0, 1]
+
     def test_stride_is_required(self, capsys):
         code = main(["run", "--input", "x.tsv", "--modes", "0,1", "--time-col", "2"])
         assert code == 3
@@ -368,6 +387,13 @@ STREAM_ARGS = ["--input", str(DATA / "golden_input.tsv"), *RUN_FLAGS]
 EVALUATE_ARGS = [
     "--input", str(DATA / "golden_input.tsv"), "--truth", str(DATA / "golden_truth.json"),
 ]
+# A valid generate command with relative output paths; flags given again
+# after these override them.
+GENERATE_ARGS = [
+    "generate", "--block", "3x2", "--density", "1.0", "--span", "1", "--bins", "2",
+    "--background-tuples", "40", "--background", "8x6",
+    "--output", "gen.tsv", "--truth", "gen.json",
+]
 
 
 @pytest.mark.parametrize(
@@ -383,12 +409,21 @@ EVALUATE_ARGS = [
         ["scale", *SCALE_FLAGS, "--sizes", "0,4,8,64"],
         ["scale", *SCALE_FLAGS, "--repeats", "0"],
         ["scale", *SCALE_FLAGS, "--oracle-slice-nnz", "0"],
+        ["run", *STREAM_ARGS, "--delimiter", ""],
+        [*GENERATE_ARGS, "--gen-stride", "0"],
+        [*GENERATE_ARGS, "--background", "0x40"],
+        [*GENERATE_ARGS, "--density", "nan"],
+        [*GENERATE_ARGS, "--density", "inf", "--density-mode", "multi"],
+        [*GENERATE_ARGS, "--background-tuples", "-5"],
     ],
     ids=["run-k", "run-l", "run-epochs", "oracle-k", "evaluate-epochs",
          "scale-oracle-steps", "scale-few-sizes", "scale-zero-size", "scale-repeats",
-         "scale-slice-nnz"],
+         "scale-slice-nnz", "run-empty-delimiter", "generate-stride",
+         "generate-background", "generate-nan-density", "generate-inf-density",
+         "generate-negative-background-tuples"],
 )
-def test_out_of_range_flag_is_config_error(argv, capsys):
+def test_out_of_range_flag_is_config_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a generate case would write its files
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -412,6 +447,8 @@ class TestScale:
         assert code == 0
         report = json.loads(out.read_text())
         assert set(report) == {"schema", "engine", "rerun_baseline"}
+        for name in ("engine", "rerun_baseline"):
+            assert list(report[name]) == ["slope", "ci95", "points"]
         assert len(report["engine"]["points"]) == 5
         assert len(report["rerun_baseline"]["points"]) == 4
         lo, hi = report["engine"]["ci95"]

@@ -172,6 +172,11 @@ class TestModeDictionary:
         dicts = ModeDictionary.for_config(csv_cfg())
         assert dicts.decode(2, 7) == 7
 
+    def test_binned_mode_decodes_to_its_bin(self):
+        events, dicts = parse_all(["u1,i9,100,260"], csv_cfg(binned_cols=(3,), t0=0))
+        assert events[0].ids == (0, 0, 5, 2)
+        assert [dicts.decode(m, idx) for m, idx in enumerate(events[0].ids)] == ["u1", "i9", 5, 2]
+
 
 class TestEmit:
     def _dicts(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -69,6 +70,15 @@ class TestGenerator:
         lines, _ = generate_stream(spec)
         bins = [int(line.split("\t")[2]) // spec.stride for line in lines]
         assert bins == sorted(bins)
+
+    def test_truth_round_trips_through_json(self):
+        _, truth = generate_stream(tiny_spec())
+        obj = json.loads(json.dumps(truth.to_json()))
+        assert list(obj) == [
+            "schema", "mode_ids", "span", "density", "seed", "stride", "t0", "n_bins", "cells",
+        ]
+        assert obj["schema"] == "tensorsplice/1"
+        assert InjectedTruth.from_json(obj) == truth
 
     def test_round_trips_through_ingestion(self):
         spec = tiny_spec(start_bin=1)
