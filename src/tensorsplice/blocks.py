@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DegenerateBlock, ShapeMismatch
 
@@ -131,10 +132,7 @@ class Block:
                     raise ValueError(
                         f"entry {key!r} has value {value!r}, not positive and finite"
                     )
-        index_sets: list[set[int]] = [set() for _ in range(n_modes)]
-        for key in entries:
-            for mode, idx in enumerate(key):
-                index_sets[mode].add(idx)
+        index_sets = [set(map(itemgetter(mode), entries)) for mode in range(n_modes)]
         self.n_modes = n_modes
         self.entries = entries
         self.index_sets = index_sets

@@ -9,28 +9,46 @@ state seen across all rounds is returned, earliest state winning ties.
 The detector repeats runs on what the earlier runs left, so the returned
 blocks are entry-disjoint. They come back ordered by non-increasing density.
 
-A detect call indexes the slice once (a ``PeelIndex``): the remaining
-entries, per-mode id masses and entry counts, postings from each id to its
-entry keys, and per-mode ``(mass, id)`` heaps. Every run peels cheap
-copies of the counters and heaps and shares the postings read-only; a key
-already peeled is skipped because it is gone from the run's entry dict.
-After a run, the found block's entries leave the index, and each id the
-block touched has its postings, count and mass recomputed from its
-remaining entries, with one fresh heap record; outdated records are
-skipped lazily.
+A detect call indexes the slice once (a ``PeelIndex``) in lists. Entries
+are numbered in entry order, and each mode's ids are renumbered densely in
+increasing id order, so ``(mass, ordinal)`` heap records sort exactly like
+``(mass, id)``. Per entry the index holds its key, its value and its
+ordinal in each mode, and a ``bytearray`` marks the live entries. Per mode
+it holds each ordinal's mass (``None`` once the id is gone), entry count
+and postings (its live entry numbers, in entry order), and a heap of
+``(mass, ordinal)`` records whose outdated ones are skipped lazily. Every
+run peels copies of the live marks, masses, counts and heaps and shares the
+rest read-only. After a run, the found block's entries leave the index, and
+each id the block touched has its postings, count and mass recomputed from
+its remaining entries, with one fresh heap record.
 
 The result is exactly that of indexing the remainder from scratch before
 every run. Postings keep entry order, and an id's mass is summed over its
-entries in that order, so float masses match bit for bit. Heap records
-order by ``(mass, id)`` and modes by index, so the removal order, the tie
-breaks and the densest-prefix choice do not depend on how records were
-pushed.
+entries in that order, so float masses match bit for bit.
+
+Inside a run, a removed entry lowers the mass of its id in every other
+mode, but only marks that id dirty in its mode's set; the next pick pushes
+one record per dirty live id. The live records in each heap are then
+exactly the live ids at their current masses, so picks and the ``(mass,
+mode, id)`` tie breaks come out as if every decrement had pushed a record.
+
+On sparse data nearly every round drops a single id, so single removals
+are batched. After a pick ``(mu, m)`` with ``mu * size > total``, mode
+``m``'s next id goes without a fresh pick while its record weighs exactly
+``mu``, ``mu * size > total`` still holds, and no decrement took an id of
+another mode below ``mu``, or down to ``mu`` in a lower mode. Removing an
+id of mode ``m`` changes no other id's mass in mode ``m``, and every other
+mode's ids sorted after ``(mu, m)`` at the pick and, by the last rule,
+still do, so a full pick would choose the same id and drop it alone. The
+best state is still checked after every id.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .blocks import Block, TensorSlice
 from .errors import ShapeMismatch
@@ -51,63 +69,65 @@ class DetectParams:
 class PeelIndex:
     """The remaining tensor of one detect call, indexed for peeling.
 
-    An id is live while it has an entry in ``masses``; ``postings`` lists
-    exactly the live keys of each live id, in entry order.
+    Entry ``e`` has key ``keys[e]``, value ``values[e]`` and ordinal
+    ``ids[mode][e]`` in each mode. ``number`` maps each live key to its
+    entry number, and ``alive[e]`` is set while entry ``e`` is live. An
+    ordinal is live while its mass is not ``None``; ``postings`` lists
+    exactly the live entries of each ordinal, in entry order.
     """
 
-    __slots__ = ("n_modes", "entries", "masses", "counts", "postings", "heaps")
+    __slots__ = ("n_modes", "keys", "values", "number", "alive", "ids",
+                 "masses", "counts", "postings", "heaps")
 
     def __init__(self, n_modes: int, entries: dict):
-        # ``entries`` is not copied: ``remove`` deletes from it.
         self.n_modes = n_modes
-        self.entries = entries
-        self.masses: list[dict] = []
-        self.counts: list[dict[int, int]] = []
-        self.postings: list[dict[int, list]] = []
+        self.keys = keys = list(entries)
+        self.values = values = list(entries.values())
+        self.number = dict(zip(keys, range(len(keys))))
+        self.alive = bytearray(b"\x01") * len(keys)
+        self.ids: list[list[int]] = []
+        self.masses: list[list] = []
+        self.counts: list[list[int]] = []
+        self.postings: list[list[list[int]]] = []
         self.heaps: list[list] = []
         for mode in range(n_modes):
-            masses: dict = {}
-            postings: dict[int, list] = {}
-            for key, value in entries.items():
-                idx = key[mode]
-                masses[idx] = masses.get(idx, 0) + value
-                keys = postings.get(idx)
-                if keys is None:
-                    postings[idx] = [key]
-                else:
-                    keys.append(key)
-            heap = [(mass, idx) for idx, mass in masses.items()]
+            labels = sorted(set(map(itemgetter(mode), keys)))
+            ordinal = {idx: o for o, idx in enumerate(labels)}
+            ids = [ordinal[key[mode]] for key in keys]
+            masses: list = [0] * len(labels)
+            postings: list[list[int]] = [[] for _ in labels]
+            for e, (o, value) in enumerate(zip(ids, values)):
+                masses[o] = masses[o] + value
+                postings[o].append(e)
+            heap = list(zip(masses, range(len(labels))))
             heapq.heapify(heap)
+            self.ids.append(ids)
             self.masses.append(masses)
-            self.counts.append({idx: len(keys) for idx, keys in postings.items()})
+            self.counts.append(list(map(len, postings)))
             self.postings.append(postings)
             self.heaps.append(heap)
 
     def remove(self, block: Block) -> None:
         """Delete a block's entries and re-index every id they touched."""
-        entries = self.entries
-        touched: list[dict[int, None]] = [{} for _ in range(self.n_modes)]
-        for key in block.entries:
-            del entries[key]
-            for mode, idx in enumerate(key):
-                touched[mode][idx] = None
-        for mode, ids in enumerate(touched):
-            masses = self.masses[mode]
-            counts = self.counts[mode]
-            postings = self.postings[mode]
-            heap = self.heaps[mode]
-            for idx in ids:
-                live = [key for key in postings[idx] if key in entries]
+        number, alive, values = self.number, self.alive, self.values
+        gone = [number.pop(key) for key in block.entries]
+        for e in gone:
+            alive[e] = 0
+        for ids, masses, counts, postings, heap in zip(
+            self.ids, self.masses, self.counts, self.postings, self.heaps
+        ):
+            for o in {ids[e] for e in gone}:
+                live = [e for e in postings[o] if alive[e]]
+                postings[o] = live
+                counts[o] = len(live)
                 if not live:
-                    del masses[idx], counts[idx], postings[idx]
+                    masses[o] = None
                     continue
                 mass = 0
-                for key in live:
-                    mass = mass + entries[key]
-                postings[idx] = live
-                counts[idx] = len(live)
-                masses[idx] = mass
-                heapq.heappush(heap, (mass, idx))
+                for e in live:
+                    mass = mass + values[e]
+                masses[o] = mass
+                heapq.heappush(heap, (mass, o))
 
 
 def peel_once(working: PeelIndex) -> Block:
@@ -117,92 +137,120 @@ def peel_once(working: PeelIndex) -> Block:
     (mass_a * size_b vs mass_b * size_a), which is exact for integer-valued
     blocks and avoids float tie instability.
     """
-    if not working.entries:
+    nnz = len(working.number)
+    if not nnz:
         raise ValueError("cannot peel an empty block")
     n = working.n_modes
-    entries = dict(working.entries)
-    masses = [dict(d) for d in working.masses]
-    counts = [dict(d) for d in working.counts]
-    heaps = [list(h) for h in working.heaps]
+    values = working.values
     postings = working.postings
-    # Per mode, the (mode, masses, counts, heap) of every other mode.
+    alive = working.alive[:]
+    masses = [list(m) for m in working.masses]
+    counts = [list(c) for c in working.counts]
+    heaps = [list(h) for h in working.heaps]
+    dirty: list[set[int]] = [set() for _ in range(n)]
+    # Per mode, what its removals update in every other mode, and whether
+    # that other mode wins mass ties against it.
     others = [
-        [(o, masses[o], counts[o], heaps[o]) for o in range(n) if o != mode]
+        [(working.ids[o], masses[o], counts[o], dirty[o], o < mode)
+         for o in range(n) if o != mode]
         for mode in range(n)
     ]
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    total = sum(entries.values())
-    size = sum(map(len, masses))
+    total = sum(compress(values, alive))
+    size = sum(len(m) - m.count(None) for m in masses)
     best_mass, best_size, best_cut = total, size, 0
-    removal_log: list = []
+    removal_log: list[int] = []
 
-    while entries:
-        # Lightest live id over all modes; stale heap records (dead ids,
-        # superseded masses) are dropped on the way.
+    while len(removal_log) < nnz:
+        # Lightest live id over all modes, once every dirty id has a record
+        # at its current mass; stale records are dropped on the way.
         pick = None
         for mode in range(n):
             h = heaps[mode]
             live = masses[mode]
+            for o in dirty[mode]:
+                mass = live[o]
+                if mass is not None:
+                    heappush(h, (mass, o))
+            dirty[mode].clear()
             while h:
-                mass, idx = h[0]
-                if live.get(idx) == mass:
-                    cand = (mass, mode, idx)
-                    if pick is None or cand < pick:
-                        pick = cand
+                mass, o = h[0]
+                if live[o] == mass:
+                    if pick is None or (mass, mode, o) < pick:
+                        pick = (mass, mode, o)
                     break
                 heappop(h)
-        if pick is None:
-            break
-        mode = pick[1]
+        mu, mode, o = pick
         h = heaps[mode]
         live = masses[mode]
-        doomed: list[int] = []
-        while h:  # h[0] starts out fresh, from the pick above
-            mass, idx = h[0]
-            if live.get(idx) != mass:
-                heappop(h)
-            elif mass * size <= total:  # mass <= total/size, round-start total/size
-                heappop(h)
-                del live[idx]
-                doomed.append(idx)
-            else:
-                break
-        if not doomed:
+        if mu * size <= total:  # mu <= total/size, round-start total/size
+            batch = False
+            doomed: list[int] = []
+            while h:
+                mass, o = h[0]
+                if live[o] != mass:
+                    heappop(h)
+                elif mass * size <= total:
+                    heappop(h)
+                    live[o] = None
+                    doomed.append(o)
+                else:
+                    break
+        else:
             # Nothing at or below average: drop the single lightest id so
-            # the peel always terminates.
-            _, idx = heappop(h)
-            del live[idx]
-            doomed = [idx]
+            # the peel always terminates, and the next ones while a full
+            # pick would choose them alone (see the module docstring).
+            batch = True
+            heappop(h)
+            live[o] = None
+            doomed = [o]
 
         mode_postings = postings[mode]
         other_modes = others[mode]
-        for idx in doomed:
-            size -= 1
-            for key in mode_postings[idx]:
-                value = entries.pop(key, None)
-                if value is None:
-                    continue
-                total -= value
-                removal_log.append(key)
-                for other, other_masses, other_counts, other_heap in other_modes:
-                    oid = key[other]
-                    left = other_counts[oid] - 1
-                    if left:
-                        other_counts[oid] = left
-                        mass = other_masses[oid] - value
-                        other_masses[oid] = mass
-                        heappush(other_heap, (mass, oid))
-                    else:
-                        del other_counts[oid], other_masses[oid]
-                        size -= 1
+        while True:
+            overtaken = False
+            for o in doomed:
+                size -= 1
+                for e in mode_postings[o]:
+                    if not alive[e]:
+                        continue
+                    alive[e] = 0
+                    value = values[e]
+                    total -= value
+                    removal_log.append(e)
+                    for ids, other_masses, other_counts, marked, lower in other_modes:
+                        x = ids[e]
+                        left = other_counts[x] - 1
+                        other_counts[x] = left
+                        if left:
+                            mass = other_masses[x] - value
+                            other_masses[x] = mass
+                            marked.add(x)
+                            if mass <= mu and (lower or mass < mu):
+                                overtaken = True
+                        else:
+                            other_masses[x] = None
+                            size -= 1
 
-        if size > 0 and total * best_size > best_mass * size:
-            best_mass, best_size, best_cut = total, size, len(removal_log)
+            if size > 0 and total * best_size > best_mass * size:
+                best_mass, best_size, best_cut = total, size, len(removal_log)
+            if not batch or overtaken or len(removal_log) == nnz:
+                break
+            while True:  # entries are left, so this mode has a live record
+                mass, o = h[0]
+                if live[o] == mass:
+                    break
+                heappop(h)
+            if mass != mu or mu * size <= total:
+                break
+            heappop(h)
+            live[o] = None
+            doomed = [o]
 
-    removed = set(removal_log[:best_cut])
-    snapshot = {k: v for k, v in working.entries.items() if k not in removed}
-    return Block._adopt(n, snapshot)
+    keys = working.keys
+    kept = sorted(removal_log[best_cut:])
+    return Block._adopt(n, {keys[e]: values[e] for e in kept})
 
 
 def detect_top_blocks(source: TensorSlice, params: DetectParams) -> list[Block]:
@@ -211,9 +259,9 @@ def detect_top_blocks(source: TensorSlice, params: DetectParams) -> list[Block]:
         raise ShapeMismatch(
             f"source has {source.n_modes} modes, params expect {params.n_modes}"
         )
-    index = PeelIndex(source.n_modes, dict(source.entries))
+    index = PeelIndex(source.n_modes, source.entries)
     found: list[Block] = []
-    while index.entries:
+    while index.number:
         # Looked up as a module global on every run, so wrappers see each one.
         block = peel_once(index)
         found.append(block)

@@ -16,6 +16,7 @@ from tensorsplice import (
 from tensorsplice.detect import PeelIndex, peel_once
 from conftest import (
     brute_force_best_density,
+    examples,
     mk,
     mode_masses,
     random_block,
@@ -150,14 +151,24 @@ VALUES = {
 }
 
 
+# Cell layouts: few ids per mode, where masses collide and bulk rounds are
+# common, and a sparse one, where most ids hold one or two entries, so a run
+# drops single ids in long batches and switches modes between them.
+LAYOUTS = {
+    "dense": (sorted(VALUES), st.integers(1, 5), 1, 40),
+    "sparse": (["int", "tie"], st.integers(20, 60), 50, 200),
+}
+
+
 @st.composite
 def tensors(draw):
     n_modes = draw(st.integers(2, 4))
-    values = VALUES[draw(st.sampled_from(sorted(VALUES)))]
-    max_id = draw(st.integers(1, 5))
+    kinds, max_ids, min_cells, max_cells = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    values = VALUES[draw(st.sampled_from(kinds))]
+    max_id = draw(max_ids)
     cells = draw(st.lists(
         st.tuples(st.tuples(*[st.integers(0, max_id)] * n_modes), values),
-        min_size=1, max_size=40,
+        min_size=min_cells, max_size=max_cells,
     ))
     s = TensorSlice(n_modes, (0, 1))
     for key, value in cells:
@@ -165,7 +176,7 @@ def tensors(draw):
     return s
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(source=tensors(), num_blocks=st.integers(1, 8))
 def test_detector_matches_rebuilding_reference(source, num_blocks):
     got = detect_top_blocks(source, DetectParams(num_blocks, source.n_modes))
@@ -174,19 +185,58 @@ def test_detector_matches_rebuilding_reference(source, num_blocks):
     assert [b.mass for b in got] == [b.mass for b in want]
 
 
-@settings(max_examples=200, deadline=None)
+def test_batch_yields_to_a_lower_mode_tie():
+    # Users are mode 0, items mode 1. The first pick is item 0 (mass 1) as
+    # a single removal, 1 * 6 > 5, and items 1 and 3 weigh 1 as well.
+    # Removing item 0 drops user 1 to mass 1, and mode 0 wins that tie, so
+    # the next round drops user 1 and not item 1.
+    entries = {(0, 1): 1, (1, 3): 1, (0, 2): 2, (1, 0): 1}
+    found = detect_top_blocks(slice_of(entries, 2), DetectParams(1, 2))
+    assert found == reference_detect(mk(entries, 2), 1)
+    assert found[0].entries == {(0, 1): 1, (0, 2): 2}
+
+
+def by_id(index: PeelIndex) -> list[dict]:
+    """Per mode, each live id's mass, count and posting keys, keyed by id."""
+    tables = []
+    for mode in range(index.n_modes):
+        table = {}
+        for o, mass in enumerate(index.masses[mode]):
+            if mass is not None:
+                keys = [index.keys[e] for e in index.postings[mode][o]]
+                table[keys[0][mode]] = (mass, index.counts[mode][o], keys)
+        tables.append(table)
+    return tables
+
+
+def live_records(index: PeelIndex) -> list[set]:
+    """Per mode, the heap records that still match their id's mass, by id."""
+    records = []
+    for mode, heap in enumerate(index.heaps):
+        masses, postings = index.masses[mode], index.postings[mode]
+        records.append({
+            (mass, index.keys[postings[o][0]][mode])
+            for mass, o in heap if masses[o] == mass
+        })
+    return records
+
+
+@settings(max_examples=examples(200), deadline=None)
 @given(source=tensors())
 def test_index_after_removal_matches_fresh_index(source):
     # After each run's block is removed, the kept index must equal one
     # built from scratch on what is left, float masses bit for bit.
-    index = PeelIndex(source.n_modes, dict(source.entries))
-    while index.entries:
+    index = PeelIndex(source.n_modes, source.entries)
+    while index.number:
         index.remove(peel_once(index))
-        fresh = PeelIndex(index.n_modes, dict(index.entries))
-        assert index.masses == fresh.masses
-        assert index.counts == fresh.counts
-        assert index.postings == fresh.postings
-        for kept, masses in zip(index.heaps, fresh.masses):
-            assert {(m, i) for m, i in kept if masses.get(i) == m} == {
-                (m, i) for i, m in masses.items()
-            }
+        assert list(index.number.values()) == [
+            e for e, live in enumerate(index.alive) if live
+        ]
+        fresh = PeelIndex(index.n_modes, {
+            key: index.values[e] for key, e in index.number.items()
+        })
+        assert by_id(index) == by_id(fresh)
+        assert live_records(index) == live_records(fresh) == [
+            {(mass, idx) for idx, (mass, _, _) in table.items()}
+            for table in by_id(fresh)
+        ]
