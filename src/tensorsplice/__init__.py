@@ -10,7 +10,6 @@ from .errors import (
     DensityInfeasible,
     MalformedLine,
     NegativeValue,
-    NotASubblock,
     OutOfOrderSlice,
     PreconditionViolated,
     ShapeMismatch,
@@ -60,7 +59,6 @@ __all__ = [
     "TensorSpliceError",
     "ShapeMismatch",
     "DegenerateBlock",
-    "NotASubblock",
     "PreconditionViolated",
     "OutOfOrderSlice",
     "TimeRegression",

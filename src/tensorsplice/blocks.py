@@ -99,40 +99,29 @@ class Block:
     __slots__ = ("n_modes", "entries", "index_sets", "mass", "serial", "_index")
 
     def __init__(self, n_modes: int, entries: dict | None = None):
-        self._init(n_modes, dict(entries) if entries else {}, validate=True)
+        entries = dict(entries) if entries else {}
+        for key, value in entries.items():
+            if len(key) != n_modes:
+                raise ShapeMismatch(
+                    f"entry key {key!r} has {len(key)} ids, expected {n_modes}"
+                )
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"entry {key!r} has value {value!r}, not positive and finite"
+                )
+        self._fill(n_modes, entries, None)
 
     @classmethod
-    def _adopt(cls, n_modes: int, entries: dict) -> "Block":
-        # Internal fast path: takes ownership of a freshly built dict.
+    def _adopt(cls, n_modes: int, entries: dict, index_sets: list | None = None) -> "Block":
+        # Internal constructor: takes ownership of a freshly built dict, and
+        # of id sets that match it when the caller kept them up to date.
         self = cls.__new__(cls)
-        self._init(n_modes, entries, validate=False)
+        self._fill(n_modes, entries, index_sets)
         return self
 
-    @classmethod
-    def _from_parts(cls, n_modes: int, entries: dict, index_sets: list) -> "Block":
-        # Internal fast path for callers that maintained the id sets
-        # themselves; the mass cache is still recomputed from the entries.
-        self = cls.__new__(cls)
-        self.n_modes = n_modes
-        self.entries = entries
-        self.index_sets = index_sets
-        self.mass = sum(entries.values())
-        self.serial = next(_serials)
-        self._index = None
-        return self
-
-    def _init(self, n_modes: int, entries: dict, validate: bool) -> None:
-        if validate:
-            for key, value in entries.items():
-                if len(key) != n_modes:
-                    raise ShapeMismatch(
-                        f"entry key {key!r} has {len(key)} ids, expected {n_modes}"
-                    )
-                if not 0 < value < math.inf:
-                    raise ValueError(
-                        f"entry {key!r} has value {value!r}, not positive and finite"
-                    )
-        index_sets = [set(map(itemgetter(mode), entries)) for mode in range(n_modes)]
+    def _fill(self, n_modes: int, entries: dict, index_sets: list | None) -> None:
+        if index_sets is None:
+            index_sets = [set(map(itemgetter(mode), entries)) for mode in range(n_modes)]
         self.n_modes = n_modes
         self.entries = entries
         self.index_sets = index_sets

@@ -12,7 +12,9 @@ Subcommands:
 Exit codes: 0 on success, 1 when stdout is closed before all output is
 written (quietly, for ``| head``), 2 when the input is bad (a malformed or
 non-finite field, a timestamp out of order, bytes that are not UTF-8),
-3 on configuration errors, including a file that cannot be opened.
+3 on configuration errors, including a file that cannot be opened and an
+output path that names the command's input (``run``) or its other output
+(``generate``), which is refused before any file is written.
 Detection output never contains wall-clock numbers, so a fixed input and
 seed reproduce byte-identical files; timings go to stderr.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, TextIO
 from .blocks import Event, TensorSlice
 from .detect import DetectParams, detect_top_blocks
 from .engine import EngineConfig, StepOutput, bin_slices, run_stream
-from .errors import ConfigError, DensityInfeasible, IngestError, TensorSpliceError
+from .errors import ConfigError, IngestError, TensorSpliceError
 from .ingest import (
     SCHEMA_VERSION,
     IngestConfig,
@@ -68,6 +69,12 @@ def _shape(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected a shape like 50x20, got {text!r}") from None
 
 
+def number(text: str) -> int | float:
+    """A float, or an ``int`` when integral; argparse names it in errors."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="tuple file, one per line")
     p.add_argument("--modes", default="0,1",
@@ -79,9 +86,9 @@ def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--binned-cols", default="",
                    help="extra timestamp columns binned with the stride "
                         "and kept as ordinary modes")
-    p.add_argument("--stride", type=float, required=True,
+    p.add_argument("--stride", type=number, required=True,
                    help="time-bin width in source units (no default)")
-    p.add_argument("--t0", type=float, default=None,
+    p.add_argument("--t0", type=number, default=None,
                    help="stream origin; defaults to the first tuple's time "
                         "floored to a multiple of --stride")
     p.add_argument("--delimiter", default="\t")
@@ -100,19 +107,13 @@ def _add_engine_flags(p: argparse.ArgumentParser, k_default: int = 10) -> None:
 
 
 def _ingest_config(args) -> IngestConfig:
-    stride = args.stride
-    if stride.is_integer():
-        stride = int(stride)
-    t0 = args.t0
-    if t0 is not None and t0.is_integer():
-        t0 = int(t0)
     return IngestConfig(
         mode_cols=_csv_ints(args.modes),
         time_col=args.time_col,
-        stride=stride,
+        stride=args.stride,
         value_col=args.value_col,
         binned_cols=_csv_ints(args.binned_cols),
-        t0=t0,
+        t0=args.t0,
         delimiter=args.delimiter,
         time_format=args.time_format,
         has_header=args.header,
@@ -121,13 +122,19 @@ def _ingest_config(args) -> IngestConfig:
 
 
 def _engine_config(args, n_modes: int, stride: int | float) -> EngineConfig:
+    return EngineConfig(
+        n_modes=n_modes, stride=stride, k=args.k, l=args.l,
+        max_epochs=args.max_epochs,
+    )
+
+
+def _same_file(a: str, b: str) -> bool:
+    """True when paths ``a`` and ``b`` name one file, also through a link;
+    paths to files that do not exist yet are compared resolved."""
     try:
-        return EngineConfig(
-            n_modes=n_modes, stride=stride, k=args.k, l=args.l,
-            max_epochs=args.max_epochs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 @contextmanager
@@ -188,6 +195,8 @@ def iter_rerun_outputs(
 
 def cmd_stream(args) -> int:
     """``run`` and ``oracle``: one JSON line per stride, a summary on stderr."""
+    if args.output and _same_file(args.input, args.output):
+        raise ConfigError(f"--output {args.output} is the --input file")
     cfg = _ingest_config(args)
     engine_cfg = _engine_config(args, cfg.n_modes, cfg.stride)
     dicts = ModeDictionary.for_config(cfg)
@@ -214,6 +223,8 @@ def cmd_stream(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if _same_file(args.output, args.truth):
+        raise ConfigError(f"--truth {args.truth} is the --output file")
     spec = InjectionSpec(
         block_shape=_shape(args.block),
         density=args.density,
@@ -235,19 +246,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# Each field ``evaluate`` reads from a truth file: the JSON types it may
-# have, and how an error names them.
-_TRUTH_FIELDS = (
-    ("mode_ids", list, "a list of label lists"),
-    ("span", list, "a list"),
-    ("density", (int, float), "a number"),
-    ("seed", int, "an integer"),
-    ("stride", (int, float), "a number"),
-    ("t0", (int, float), "a number"),
-    ("n_bins", int, "an integer"),
-)
-
-
 def _read_truth(path: str) -> InjectedTruth:
     """The ground truth ``generate`` wrote; anything else is bad input."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -255,33 +253,10 @@ def _read_truth(path: str) -> InjectedTruth:
             obj = json.load(handle)
         except ValueError as exc:  # also bytes that are not UTF-8
             raise IngestError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise IngestError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    for name, types, what in _TRUTH_FIELDS:
-        if name not in obj:
-            raise IngestError(f"{path}: truth field {name!r} is missing")
-        value = obj[name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise IngestError(
-                f"{path}: truth field {name!r} must be {what}, got {type(value).__name__}"
-            )
-    labels = obj["mode_ids"]
-    if not labels or not all(
-        isinstance(ids, list) and all(isinstance(label, str) for label in ids)
-        for ids in labels
-    ):
-        raise IngestError(f"{path}: truth field 'mode_ids' must be a non-empty list of label lists")
-    if not 0 < obj["stride"] < math.inf or not math.isfinite(obj["t0"]):
-        raise IngestError(f"{path}: truth fields 'stride' and 't0' must be finite, 'stride' positive")
-    cells = obj.get("cells")
-    if cells is not None and not (
-        isinstance(cells, list) and all(
-            isinstance(cell, list) and all(isinstance(x, (str, int, float)) for x in cell)
-            for cell in cells
-        )
-    ):
-        raise IngestError(f"{path}: truth field 'cells' must be null or a list of cells")
-    return InjectedTruth.from_json(obj)
+    try:
+        return InjectedTruth.from_json(obj)
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:
@@ -424,10 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (
-        ConfigError, DensityInfeasible,
-        FileNotFoundError, IsADirectoryError, PermissionError,
-    ) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TensorSpliceError as exc:

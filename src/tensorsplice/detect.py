@@ -41,6 +41,19 @@ id of mode ``m`` changes no other id's mass in mode ``m``, and every other
 mode's ids sorted after ``(mu, m)`` at the pick and, by the last rule,
 still do, so a full pick would choose the same id and drop it alone. The
 best state is still checked after every id.
+
+The batch also stops once ``mu * size <= total``, where a full pick starts
+a bulk round. With exact (integer) values that stop changes no result.
+From there on, an id at or below the average stays so while such ids go,
+so every order of dropping them ends in the same state E, and no id set
+between that start and E is denser than E. The sets between them as dense
+as E are closed under union, because mass is supermodular in the id sets,
+so they have a largest one, U. The first id of U that an order drops
+weighs exactly the average, so the state it is dropped from holds U and is
+as dense as E: it is U, and a bulk round never passes U mid-way. Every
+order thus checks U first among the states as dense as E, and keeps the
+same best state. Float sums round differently in each order, so there
+the stop is needed; ``tests/test_detect.py`` pins such a case.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .blocks import Block, TensorSlice
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -63,7 +76,7 @@ class DetectParams:
 
     def __post_init__(self):
         if self.num_blocks < 1:
-            raise ValueError("num_blocks must be at least 1")
+            raise ConfigError("num_blocks must be at least 1")
 
 
 class PeelIndex:

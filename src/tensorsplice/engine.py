@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 from .blocks import Block, Event, TensorSlice
 from .detect import DetectParams, detect_top_blocks
-from .errors import OutOfOrderSlice, TimeRegression
+from .errors import ConfigError, OutOfOrderSlice, TimeRegression
 from .splice import splice_pair
 
 
@@ -46,15 +46,15 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.n_modes < 2:
-            raise ValueError("n_modes must be at least 2")
+            raise ConfigError("n_modes must be at least 2")
         if self.stride <= 0:
-            raise ValueError("stride must be positive")
+            raise ConfigError("stride must be positive")
         if self.k < 1:
-            raise ValueError("k must be at least 1")
+            raise ConfigError("k must be at least 1")
         if self.l < 0:
-            raise ValueError("l must be non-negative")
+            raise ConfigError("l must be non-negative")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+            raise ConfigError("max_epochs must be at least 1")
 
     @property
     def pool_size(self) -> int:
@@ -67,15 +67,10 @@ class EngineState:
     between steps."""
 
     retained: list[Block] = field(default_factory=list)
-    frontier: int = 0  # next bin ordinal to be processed
-    step_counter: int = 0
+    frontier: int = 0  # next bin ordinal to be processed, and the step index
     # Serial pairs (pool order) that splice_pair returned unchanged, kept
     # only for pairs of retained blocks.
     sterile: set[tuple[int, int]] = field(default_factory=set)
-
-    @classmethod
-    def initial(cls) -> "EngineState":
-        return cls()
 
 
 @dataclass
@@ -154,7 +149,7 @@ def step(
     retained = pool[: cfg.pool_size]
     kept = {block.serial for block in retained}
     output = StepOutput(
-        step_index=state.step_counter,
+        step_index=state.frontier,
         time_range=expected,
         top_k=retained[: cfg.k],
         timing={
@@ -165,7 +160,6 @@ def step(
     new_state = EngineState(
         retained=retained,
         frontier=state.frontier + 1,
-        step_counter=state.step_counter + 1,
         sterile={pair for pair in sterile if pair[0] in kept and pair[1] in kept},
     )
     return new_state, output
@@ -199,7 +193,7 @@ def bin_slices(events: Iterable[Event], n_modes: int) -> Iterator[TensorSlice]:
 
 def run_stream(events: Iterable[Event], cfg: EngineConfig) -> Iterator[StepOutput]:
     """Step through a bin-ordered event stream, one output per bin."""
-    state = EngineState.initial()
+    state = EngineState()
     for slice_ in bin_slices(events, cfg.n_modes):
         state, output = step(state, slice_, cfg)
         yield output

@@ -13,10 +13,6 @@ class DegenerateBlock(TensorSpliceError):
     """A non-empty block was required (density of a size-0 block is undefined)."""
 
 
-class NotASubblock(TensorSpliceError):
-    """Tried to remove entries the target block does not fully contain."""
-
-
 class PreconditionViolated(TensorSpliceError):
     """Caller broke an ordering requirement, e.g. splice target less dense."""
 
@@ -55,9 +51,10 @@ class NegativeValue(IngestError):
     """A value field is negative."""
 
 
-class DensityInfeasible(TensorSpliceError):
-    """An injection spec asks for more distinct cells than its volume holds."""
+class ConfigError(TensorSpliceError, ValueError):
+    """Invalid run configuration (CLI exit code 3); also a ``ValueError``."""
 
 
-class ConfigError(TensorSpliceError):
-    """Invalid run configuration (CLI exit code 3)."""
+class DensityInfeasible(ConfigError):
+    """An injection spec that cannot be generated: too many distinct cells
+    for its volume, none at all, or a span, shape or mode it cannot plant."""

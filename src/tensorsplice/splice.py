@@ -255,7 +255,7 @@ class _Working:
     def finish(self) -> Block:
         if not self.owned:
             return self.source
-        block = Block._from_parts(self.n, self.entries, self.sets)
+        block = Block._adopt(self.n, self.entries, self.sets)
         index = self.index
         if index is not None:
             self.source._index = None
@@ -287,11 +287,7 @@ def _reached(w1_sets, w2: _Working, modes, count: int):
     options = []
     for mode in modes:
         mode_postings = postings[mode]
-        seen = w1_sets[mode]
-        if len(seen) < len(mode_postings):
-            shared = [idx for idx in seen if idx in mode_postings]
-        else:
-            shared = [idx for idx in mode_postings if idx in seen]
+        shared = mode_postings.keys() & w1_sets[mode]
         cost = sum([len(mode_postings[idx]) for idx in shared])
         options.append((cost, mode, shared))
     options.sort()

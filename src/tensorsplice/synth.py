@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .blocks import Event, TensorSlice
 from .engine import EngineConfig, EngineState, StepOutput, step
-from .errors import DensityInfeasible
+from .errors import DensityInfeasible, IngestError
 from .ingest import SCHEMA_VERSION, ModeDictionary
 from .detect import DetectParams, detect_top_blocks
 
@@ -90,9 +90,18 @@ class InjectionSpec:
     def injected_nnz(self) -> int:
         return round(self.density * self.volume)
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.block_shape) + 1
+
+# Each required field of a truth file: the JSON types it may have, and how
+# an error names them.
+_TRUTH_FIELDS = (
+    ("mode_ids", list, "a list of label lists"),
+    ("span", list, "a list"),
+    ("density", (int, float), "a number"),
+    ("seed", int, "an integer"),
+    ("stride", (int, float), "a number"),
+    ("t0", (int, float), "a number"),
+    ("n_bins", int, "an integer"),
+)
 
 
 @dataclass
@@ -115,7 +124,34 @@ class InjectedTruth:
         return {"schema": SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "InjectedTruth":
+    def from_json(cls, obj) -> "InjectedTruth":
+        """The truth ``to_json`` wrote; anything else raises ``IngestError``."""
+        if not isinstance(obj, dict):
+            raise IngestError(f"expected a JSON object, got {type(obj).__name__}")
+        for name, types, what in _TRUTH_FIELDS:
+            if name not in obj:
+                raise IngestError(f"truth field {name!r} is missing")
+            value = obj[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise IngestError(
+                    f"truth field {name!r} must be {what}, got {type(value).__name__}"
+                )
+        labels = obj["mode_ids"]
+        if not labels or not all(
+            isinstance(ids, list) and all(isinstance(label, str) for label in ids)
+            for ids in labels
+        ):
+            raise IngestError("truth field 'mode_ids' must be a non-empty list of label lists")
+        if not 0 < obj["stride"] < math.inf or not math.isfinite(obj["t0"]):
+            raise IngestError("truth fields 'stride' and 't0' must be finite, 'stride' positive")
+        cells = obj.get("cells")
+        if cells is not None and not (
+            isinstance(cells, list) and all(
+                isinstance(cell, list) and all(isinstance(x, (str, int, float)) for x in cell)
+                for cell in cells
+            )
+        ):
+            raise IngestError("truth field 'cells' must be null or a list of cells")
         return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
@@ -309,7 +345,7 @@ def _default_step_timer(cfg: EngineConfig, seed: int, repeats: int) -> Callable[
         for rep in range(repeats):
             rng = random.Random(seed * 1_000_003 + nnz * 31 + rep)
             slice_ = _random_slice(nnz, shape, 0, rng)
-            _, out = step(EngineState.initial(), slice_, cfg)
+            _, out = step(EngineState(), slice_, cfg)
             best = min(best, out.timing["detect"] + out.timing["splice"])
         return best
 

@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:  # allow running the suite without installing
     sys.path.insert(0, str(SRC))
 
-from tensorsplice import Block, NotASubblock, ShapeMismatch  # noqa: E402
+from tensorsplice import Block, ShapeMismatch, TensorSpliceError  # noqa: E402
 from tensorsplice.detect import DetectParams, detect_top_blocks  # noqa: E402
 from tensorsplice.engine import _denser_first, _order_key  # noqa: E402
 from tensorsplice.splice import splice_pair  # noqa: E402
@@ -31,6 +31,10 @@ from tensorsplice.splice import splice_pair  # noqa: E402
 # examples; without it, every test keeps the count it names.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+class NotASubblock(TensorSpliceError):
+    """Tried to remove entries the target block does not fully contain."""
 
 
 def examples(n: int) -> int:
@@ -444,7 +448,7 @@ class _RefWorking:
     def finish(self) -> Block:
         if not self.owned:
             return self.source
-        return Block._from_parts(self.n, self.entries, self.sets)
+        return Block._adopt(self.n, self.entries, self.sets)
 
 
 def _ref_bucket_by_combo(w1_sets, w2_entries, q_modes, free_modes) -> dict:

@@ -8,11 +8,12 @@ from tensorsplice import (
     Block,
     DegenerateBlock,
     Event,
-    NotASubblock,
     ShapeMismatch,
     TensorSlice,
 )
-from conftest import mk, random_block, recomputed_mass, recomputed_size, subtract
+from conftest import (
+    NotASubblock, mk, random_block, recomputed_mass, recomputed_size, subtract,
+)
 
 
 class TestMass:

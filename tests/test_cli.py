@@ -56,6 +56,18 @@ class TestRun:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_output_naming_the_input_is_config_error(self, link, tmp_path, capsys):
+        stream = output = tmp_path / "x.tsv"
+        stream.write_bytes((DATA / "golden_input.tsv").read_bytes())
+        if link:
+            output = tmp_path / "link.tsv"
+            output.symlink_to(stream)
+        code = main(["run", "--input", str(stream), *RUN_FLAGS, "--output", str(output)])
+        assert code == 3
+        assert capsys.readouterr() == ("", f"error: --output {output} is the --input file\n")
+        assert stream.read_bytes() == (DATA / "golden_input.tsv").read_bytes()
+
     @pytest.mark.parametrize("cause", ["directory", "permission"])
     def test_unopenable_input_is_config_error(self, cause, tmp_path, capsys, monkeypatch):
         path = tmp_path / "in.tsv"
@@ -293,6 +305,21 @@ class TestGenerate:
             "pass --t0 with the earliest timestamp"
         ), err
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-link"])
+    def test_truth_naming_the_output_is_config_error(self, existing, tmp_path, capsys):
+        output = truth = tmp_path / "s.tsv"
+        if existing:
+            output.write_text("kept\n")
+            truth = tmp_path / "link.json"
+            truth.symlink_to(output)
+        code = main([*self.GEN, "--output", str(output), "--truth", str(truth)])
+        assert code == 3
+        assert capsys.readouterr() == ("", f"error: --truth {truth} is the --output file\n")
+        if existing:
+            assert output.read_text() == "kept\n"
+        else:
+            assert not output.exists()
+
     def test_infeasible_density_is_config_error(self, tmp_path, capsys):
         code = main([
             "generate", "--block", "2x2", "--density", "3.0", "--span", "1",
@@ -333,8 +360,14 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "text",
         ["", "{}", "[]", TRUTH.replace('"mode_ids":[["a"]]', '"mode_ids":5'),
-         TRUTH.replace('"stride":1', '"stride":"x"')],
-        ids=["empty", "object", "list", "mode-ids-int", "stride-str"],
+         TRUTH.replace('"stride":1', '"stride":"x"'),
+         TRUTH.replace('"mode_ids":[["a"]]', '"mode_ids":[[1]]'),
+         TRUTH.replace('"stride":1', '"stride":0'),
+         TRUTH.replace('"t0":0', '"t0":Infinity'),
+         TRUTH.replace('"cells":null', '"cells":5'),
+         TRUTH.replace('"seed":0', '"seed":true')],
+        ids=["empty", "object", "list", "mode-ids-int", "stride-str", "label-int",
+             "stride-zero", "t0-infinite", "cells-int", "seed-bool"],
     )
     def test_malformed_truth_is_input_error(self, text, tmp_path, capsys):
         truth = tmp_path / "t.json"

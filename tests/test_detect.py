@@ -196,6 +196,20 @@ def test_batch_yields_to_a_lower_mode_tie():
     assert found[0].entries == {(0, 1): 1, (0, 2): 2}
 
 
+def test_batch_yields_once_a_float_mass_reaches_the_average():
+    # Users are mode 0, items mode 1. Items 0, 1 and 3 weigh 0.1 and the
+    # total is 0.6 over 6 ids, but 0.1 * 6 rounds above 0.6, so item 0 goes
+    # as a single removal. That leaves 0.5 over 5 ids, where 0.1 * 5 == 0.5:
+    # the batch must stop there, so the next round drops items 1 and 3
+    # together. Dropping item 1 alone would check a state of 0.4 over 4 ids,
+    # which compares as denser than the start because 0.4 * 6 rounds above
+    # 0.6 * 4.
+    entries = {(2, 2): 0.2, (0, 2): 0.1, (0, 1): 0.1, (0, 3): 0.1, (2, 0): 0.1}
+    found = detect_top_blocks(slice_of(entries, 2), DetectParams(1, 2))
+    assert found == reference_detect(mk(entries, 2), 1)
+    assert found[0].entries == {(2, 2): 0.2, (0, 2): 0.1}
+
+
 def by_id(index: PeelIndex) -> list[dict]:
     """Per mode, each live id's mass, count and posting keys, keyed by id."""
     tables = []

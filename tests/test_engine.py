@@ -42,20 +42,20 @@ class TestStep:
     def test_first_step_is_detector_output(self):
         entries = dense_bin(0, range(2), range(2))
         entries[(9, 9, 0)] = 1
-        state, out = step(EngineState.initial(), slice_for(0, entries), CFG)
+        state, out = step(EngineState(), slice_for(0, entries), CFG)
         expected = detect_top_blocks(slice_for(0, entries), DetectParams(5, 3))
         assert state.retained == expected
         assert out.top_k == expected[: CFG.k]
-        assert state.frontier == 1 and state.step_counter == 1
+        assert state.frontier == 1 and out.step_index == 0
 
     def test_rejects_wrong_window(self):
-        state = EngineState.initial()
+        state = EngineState()
         with pytest.raises(OutOfOrderSlice):
             step(state, slice_for(3, {(0, 0, 3): 1}), CFG)
 
     def test_empty_slice_keeps_converged_state(self):
         entries = dense_bin(0, range(2), range(2))
-        state, first = step(EngineState.initial(), slice_for(0, entries), CFG)
+        state, first = step(EngineState(), slice_for(0, entries), CFG)
         state2, out = step(state, slice_for(1, {}), CFG)
         assert state2.retained == state.retained
         assert out.top_k == first.top_k
@@ -71,7 +71,7 @@ class TestStep:
         bin0 = dense_bin(0, users, objects) | noise0
         bin1 = dense_bin(1, users, objects) | noise1
 
-        state, out0 = step(EngineState.initial(), slice_for(0, bin0), CFG)
+        state, out0 = step(EngineState(), slice_for(0, bin0), CFG)
         per_bin_density = out0.top_k[0].density
         state, out1 = step(state, slice_for(1, bin1), CFG)
         top = out1.top_k[0]
@@ -87,7 +87,7 @@ class TestStep:
 
     def test_top_density_never_drops_during_splicing(self):
         rng = random.Random(5)
-        state = EngineState.initial()
+        state = EngineState()
         for bin_ in range(4):
             entries = {}
             for _ in range(30):
@@ -104,7 +104,7 @@ class TestStep:
 
     def test_retained_blocks_are_stream_subtensors(self):
         rng = random.Random(11)
-        state = EngineState.initial()
+        state = EngineState()
         accumulated: dict = {}
         for bin_ in range(5):
             entries = {}
@@ -121,7 +121,7 @@ class TestStep:
     def test_unbounded_epochs_reach_fixed_point(self):
         cfg = EngineConfig(n_modes=3, stride=1, k=3, l=2, max_epochs=10_000)
         rng = random.Random(13)
-        state = EngineState.initial()
+        state = EngineState()
         for bin_ in range(3):
             entries = {}
             for _ in range(16):
@@ -256,7 +256,7 @@ def test_step_matches_memo_free_sweep(stream, k, l):
     # during the step are freed and their ids reused.
     n_modes, bins = stream
     cfg = EngineConfig(n_modes=n_modes, stride=1, k=k, l=l)
-    state = EngineState.initial()
+    state = EngineState()
     for t, entries in enumerate(bins):
         slice_ = slice_for(t, entries, n_modes)
         want = reference_sweep(state.retained, slice_, cfg)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -52,6 +53,31 @@ class TestGenerator:
             tiny_spec(density=1.5)
         spec = tiny_spec(density=1.5, value_mode="multi")
         assert spec.injected_nnz == 6
+
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [(dict(block_shape=(2, 2, 2)), "mode counts differ"),
+         (dict(block_shape=(0, 2)), "block cardinalities"),
+         (dict(span_bins=0), "at least one bin"),
+         (dict(value_mode="bulk"), "unknown value mode")],
+        ids=["mode-count", "zero-cardinality", "zero-span", "value-mode"],
+    )
+    def test_unplantable_spec_rejected(self, overrides, message):
+        with pytest.raises(DensityInfeasible, match=message):
+            tiny_spec(**overrides)
+
+    def test_multi_mode_repeats_cells(self):
+        # Six draws from a volume of 4 must repeat a cell.
+        spec = tiny_spec(density=1.5, value_mode="multi")
+        lines, truth = generate_stream(spec)
+        assert len(truth.cells) == 6
+        cfg = IngestConfig(
+            mode_cols=(0, 1), time_col=2, stride=truth.stride, value_col=3, t0=truth.t0,
+        )
+        totals = Counter()
+        for event in parse_tuples(iter(lines), cfg, ModeDictionary.for_config(cfg)):
+            totals[event.ids] += event.value
+        assert max(totals.values()) >= 2
 
     def test_span_outside_stream_rejected(self):
         with pytest.raises(DensityInfeasible):
