@@ -1,7 +1,7 @@
 """Streaming top-k dense block tracking in sparse N-mode tensors."""
 
 from .blocks import Block, Event, TensorSlice
-from .detect import DetectParams, detect_top_blocks
+from .detect import detect_top_blocks
 from .engine import EngineConfig, EngineState, StepOutput, run_stream, step
 from .errors import (
     BadTimestamp,
@@ -35,7 +35,6 @@ __all__ = [
     "Block",
     "Event",
     "TensorSlice",
-    "DetectParams",
     "detect_top_blocks",
     "EngineConfig",
     "EngineState",

@@ -79,14 +79,6 @@ class TensorSlice:
     def nnz(self) -> int:
         return len(self.entries)
 
-    @property
-    def mass(self) -> int | float:
-        return sum(self.entries.values())
-
-    def to_block(self) -> "Block":
-        """Snapshot the whole slice as a block."""
-        return Block._adopt(self.n_modes, dict(self.entries))
-
 
 class Block:
     """A subtensor: per-mode id sets plus the entries they support.
@@ -128,10 +120,6 @@ class Block:
         self.mass = sum(entries.values())
         self.serial = next(_serials)
         self._index = None
-
-    @classmethod
-    def empty(cls, n_modes: int) -> "Block":
-        return cls._adopt(n_modes, {})
 
     @property
     def size(self) -> int:

@@ -13,8 +13,9 @@ Exit codes: 0 on success, 1 when stdout is closed before all output is
 written (quietly, for ``| head``), 2 when the input is bad (a malformed or
 non-finite field, a timestamp out of order, bytes that are not UTF-8),
 3 on configuration errors, including a file that cannot be opened and an
-output path that names the command's input (``run``) or its other output
-(``generate``), which is refused before any file is written.
+output path that names the command's input (``run``, ``oracle``,
+``evaluate``) or its other output (``generate``), which is refused before
+any file is written.
 Detection output never contains wall-clock numbers, so a fixed input and
 seed reproduce byte-identical files; timings go to stderr.
 """
@@ -30,7 +31,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
 
 from .blocks import Event, TensorSlice
-from .detect import DetectParams, detect_top_blocks
+from .detect import detect_top_blocks
 from .engine import EngineConfig, StepOutput, bin_slices, run_stream
 from .errors import ConfigError, IngestError, TensorSpliceError
 from .ingest import (
@@ -121,11 +122,8 @@ def _ingest_config(args) -> IngestConfig:
     )
 
 
-def _engine_config(args, n_modes: int, stride: int | float) -> EngineConfig:
-    return EngineConfig(
-        n_modes=n_modes, stride=stride, k=args.k, l=args.l,
-        max_epochs=args.max_epochs,
-    )
+def _engine_config(args) -> EngineConfig:
+    return EngineConfig(k=args.k, l=args.l, max_epochs=args.max_epochs)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -135,6 +133,14 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.samefile(a, b)
     except OSError:
         return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_overwrite(args, *inputs: str) -> None:
+    """Refuse an ``--output`` that names one of the ``inputs`` (flag names
+    without the dashes), also through a link, before anything is written."""
+    for name in inputs:
+        if args.output and _same_file(getattr(args, name), args.output):
+            raise ConfigError(f"--output {args.output} is the --{name} file")
 
 
 @contextmanager
@@ -176,14 +182,15 @@ def iter_rerun_outputs(
     events: Iterable[Event], cfg: EngineConfig
 ) -> Iterator[StepOutput]:
     """Re-detect on the full accumulated tensor at every stride."""
-    params = DetectParams(cfg.pool_size, cfg.n_modes)
-    accumulated = TensorSlice(cfg.n_modes, (0, 1))
-    for step_index, slice_ in enumerate(bin_slices(events, cfg.n_modes)):
+    accumulated = None
+    for step_index, slice_ in enumerate(bin_slices(events)):
+        if accumulated is None:
+            accumulated = TensorSlice(slice_.n_modes, (0, 1))
         # Keys never collide across bins, because time is the last mode,
         # and detection reads only the entries.
         accumulated.entries.update(slice_.entries)
         begun = time.perf_counter()
-        found = detect_top_blocks(accumulated, params) if accumulated.nnz else []
+        found = detect_top_blocks(accumulated, cfg.pool_size) if accumulated.nnz else []
         elapsed = time.perf_counter() - begun
         yield StepOutput(
             step_index=step_index,
@@ -195,10 +202,9 @@ def iter_rerun_outputs(
 
 def cmd_stream(args) -> int:
     """``run`` and ``oracle``: one JSON line per stride, a summary on stderr."""
-    if args.output and _same_file(args.input, args.output):
-        raise ConfigError(f"--output {args.output} is the --input file")
+    _refuse_overwrite(args, "input")
     cfg = _ingest_config(args)
-    engine_cfg = _engine_config(args, cfg.n_modes, cfg.stride)
+    engine_cfg = _engine_config(args)
     dicts = ModeDictionary.for_config(cfg)
     outputs_of = run_stream if args.command == "run" else iter_rerun_outputs
     counts = {"nnz": 0}
@@ -260,6 +266,7 @@ def _read_truth(path: str) -> InjectedTruth:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_overwrite(args, "input", "truth")
     truth = _read_truth(args.truth)
     if args.per_entry and truth.cells is None:
         raise IngestError(f"{args.truth}: --per-entry needs the truth's 'cells', which are null")
@@ -271,7 +278,7 @@ def cmd_evaluate(args) -> int:
         value_col=n_categorical + 1,
         t0=truth.t0,
     )
-    engine_cfg = _engine_config(args, cfg.n_modes, cfg.stride)
+    engine_cfg = _engine_config(args)
     dicts = ModeDictionary.for_config(cfg)
     density_series: list[float] = []
     timings: list[float] = []
@@ -300,7 +307,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    cfg = _engine_config(args, 3, 1)
+    cfg = _engine_config(args)
     sizes = _csv_ints(args.sizes)
     # Checked before any timing, so a bad flag fails at once.
     if len(sizes) < 4 or min(sizes) < 1 or max(sizes) < 16 * min(sizes):

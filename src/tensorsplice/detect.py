@@ -59,24 +59,11 @@ the stop is needed; ``tests/test_detect.py`` pins such a case.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
 from .blocks import Block, TensorSlice
-from .errors import ConfigError, ShapeMismatch
-
-
-@dataclass(frozen=True)
-class DetectParams:
-    """How many blocks to extract, and the tensor arity they live in."""
-
-    num_blocks: int
-    n_modes: int
-
-    def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ConfigError("num_blocks must be at least 1")
+from .errors import ConfigError
 
 
 class PeelIndex:
@@ -266,19 +253,17 @@ def peel_once(working: PeelIndex) -> Block:
     return Block._adopt(n, {keys[e]: values[e] for e in kept})
 
 
-def detect_top_blocks(source: TensorSlice, params: DetectParams) -> list[Block]:
+def detect_top_blocks(source: TensorSlice, num_blocks: int) -> list[Block]:
     """Up to ``num_blocks`` entry-disjoint dense blocks, densest first."""
-    if source.n_modes != params.n_modes:
-        raise ShapeMismatch(
-            f"source has {source.n_modes} modes, params expect {params.n_modes}"
-        )
+    if num_blocks < 1:
+        raise ConfigError("num_blocks must be at least 1")
     index = PeelIndex(source.n_modes, source.entries)
     found: list[Block] = []
     while index.number:
         # Looked up as a module global on every run, so wrappers see each one.
         block = peel_once(index)
         found.append(block)
-        if len(found) == params.num_blocks:
+        if len(found) == num_blocks:
             break
         index.remove(block)
     # Stable sort: equal densities keep discovery order.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .blocks import Block, Event, TensorSlice
-from .detect import DetectParams, detect_top_blocks
+from .detect import detect_top_blocks
 from .errors import ConfigError, OutOfOrderSlice, TimeRegression
 from .splice import splice_pair
 
@@ -33,22 +33,16 @@ from .splice import splice_pair
 class EngineConfig:
     """Stream-tracking knobs.
 
-    ``stride`` is the time-bin width in source units (binning itself
-    happens at ingestion; the engine consumes bin ordinals). ``k`` blocks
-    are reported, ``l`` extra ones are retained as splice material.
+    ``k`` blocks are reported, ``l`` extra ones are retained as splice
+    material. The arity comes from the events, and binning happens at
+    ingestion, so the engine consumes bin ordinals.
     """
 
-    n_modes: int
-    stride: int | float
     k: int = 10
     l: int = 5
     max_epochs: int = 5
 
     def __post_init__(self):
-        if self.n_modes < 2:
-            raise ConfigError("n_modes must be at least 2")
-        if self.stride <= 0:
-            raise ConfigError("stride must be positive")
         if self.k < 1:
             raise ConfigError("k must be at least 1")
         if self.l < 0:
@@ -110,10 +104,7 @@ def step(
         )
 
     started = time.perf_counter()
-    if slice_.nnz:
-        incoming = detect_top_blocks(slice_, DetectParams(cfg.pool_size, cfg.n_modes))
-    else:
-        incoming = []
+    incoming = detect_top_blocks(slice_, cfg.pool_size) if slice_.nnz else []
     detected_at = time.perf_counter()
 
     pool = list(state.retained) + incoming
@@ -165,17 +156,19 @@ def step(
     return new_state, output
 
 
-def bin_slices(events: Iterable[Event], n_modes: int) -> Iterator[TensorSlice]:
+def bin_slices(events: Iterable[Event]) -> Iterator[TensorSlice]:
     """Partition a bin-ordered event stream into one slice per time bin.
 
     Slices run from bin 0 through the last occupied bin; an empty bin
     between occupied ones still yields an empty slice, so per-step series
-    keep a uniform time axis. An empty stream yields nothing.
+    keep a uniform time axis. The first event sets the arity, which later
+    events must share (``ShapeMismatch``). An empty stream yields nothing.
     """
     current_bin = 0
-    current = TensorSlice(n_modes, (0, 1))
-    saw_events = False
+    current = None
     for event in events:
+        if current is None:
+            current = TensorSlice(len(event.ids), (0, 1))
         t = event.ids[-1]
         if t < current_bin:
             raise TimeRegression(
@@ -184,16 +177,15 @@ def bin_slices(events: Iterable[Event], n_modes: int) -> Iterator[TensorSlice]:
         while t > current_bin:
             yield current
             current_bin += 1
-            current = TensorSlice(n_modes, (current_bin, current_bin + 1))
+            current = TensorSlice(current.n_modes, (current_bin, current_bin + 1))
         current.add(event)
-        saw_events = True
-    if saw_events:
+    if current is not None:
         yield current
 
 
 def run_stream(events: Iterable[Event], cfg: EngineConfig) -> Iterator[StepOutput]:
     """Step through a bin-ordered event stream, one output per bin."""
     state = EngineState()
-    for slice_ in bin_slices(events, cfg.n_modes):
+    for slice_ in bin_slices(events):
         state, output = step(state, slice_, cfg)
         yield output

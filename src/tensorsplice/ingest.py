@@ -125,8 +125,12 @@ def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
 
 
 def _time_bin(ts, t0, stride, lineno: int, raw: str, origin: str, binned_col=None) -> int:
+    """The bin ordinal of ``ts``; an offset of ``2**53`` bins or more is bad
+    input, as a float quotient that large cannot tell neighbouring bins
+    apart. A real gap of fewer bins is still stepped through, one (empty)
+    bin at a time."""
     offset = (ts - t0) / stride
-    if 0 <= offset < math.inf:  # finite inputs can still overflow the quotient
+    if 0 <= offset < 2**53:
         return math.floor(offset)
     what = f"timestamp {raw!r}" if binned_col is None else f"binned column {binned_col}"
     problem = f"precedes the stream origin{origin}" if offset < 0 else "is too far from the stream origin"

@@ -23,7 +23,7 @@ from .blocks import Event, TensorSlice
 from .engine import EngineConfig, EngineState, StepOutput, step
 from .errors import DensityInfeasible, IngestError
 from .ingest import SCHEMA_VERSION, ModeDictionary
-from .detect import DetectParams, detect_top_blocks
+from .detect import detect_top_blocks
 
 _PREFIXES = ("u", "i", "a", "b", "c", "d")
 
@@ -370,7 +370,7 @@ def scaling_run(
     if max(sizes) < 16 * min(sizes):
         raise ValueError("sizes must span at least a 16x range")
     if timer is None:
-        cfg = cfg or EngineConfig(n_modes=3, stride=1, k=3, l=2)
+        cfg = cfg or EngineConfig(k=3, l=2)
         timer = _default_step_timer(cfg, seed, repeats)
     points = [(size, timer(size)) for size in sizes]
     return fit_loglog(points)
@@ -391,21 +391,20 @@ def rerun_scaling_run(
     """
     if n_steps < 4:
         raise ValueError("need at least 4 steps")
-    cfg = cfg or EngineConfig(n_modes=3, stride=1, k=3, l=2)
+    cfg = cfg or EngineConfig(k=3, l=2)
     shape = (max(slice_nnz // 2, 4), max(slice_nnz // 4, 4))
     rng = random.Random(seed)
-    accumulated = TensorSlice(cfg.n_modes, (0, n_steps))
+    accumulated = TensorSlice(len(shape) + 1, (0, n_steps))
     points = []
     total_time = 0.0
     total_nnz = 0
-    params = DetectParams(cfg.pool_size, cfg.n_modes)
     for b in range(n_steps):
         # Keys never collide across bins, because time is the last mode.
         slice_ = _random_slice(slice_nnz, shape, b, rng, id_offset=b * shape[0])
         accumulated.entries.update(slice_.entries)
         total_nnz += slice_nnz
         started = time.perf_counter()
-        detect_top_blocks(accumulated, params)
+        detect_top_blocks(accumulated, cfg.pool_size)
         total_time += time.perf_counter() - started
         points.append((total_nnz, total_time))
     return fit_loglog(points)

@@ -23,7 +23,7 @@ if str(SRC) not in sys.path:  # allow running the suite without installing
     sys.path.insert(0, str(SRC))
 
 from tensorsplice import Block, ShapeMismatch, TensorSpliceError  # noqa: E402
-from tensorsplice.detect import DetectParams, detect_top_blocks  # noqa: E402
+from tensorsplice.detect import detect_top_blocks  # noqa: E402
 from tensorsplice.engine import _denser_first, _order_key  # noqa: E402
 from tensorsplice.splice import splice_pair  # noqa: E402
 
@@ -626,7 +626,7 @@ def reference_sweep(retained: list, slice_, cfg) -> list:
     every sweep splices every pair again."""
     pool = list(retained)
     if slice_.nnz:
-        pool += detect_top_blocks(slice_, DetectParams(cfg.pool_size, cfg.n_modes))
+        pool += detect_top_blocks(slice_, cfg.pool_size)
     for _ in range(cfg.max_epochs):
         pool.sort(key=_order_key)
         changed = False

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from tensorsplice import (
-    DetectParams,
     EngineConfig,
     Event,
     IngestConfig,
@@ -125,7 +124,7 @@ def test_criterion_4_detector_brute_force_bound():
         slice_ = TensorSlice(3, (0, 1))
         for key, value in block.entries.items():
             slice_.add(Event(key, value))
-        found = detect_top_blocks(slice_, DetectParams(1, 3))
+        found = detect_top_blocks(slice_, 1)
         got = Fraction(found[0].mass, found[0].size)
         best = brute_force_best_density(block)
         assert 2 * got >= best, f"detector {got} under half of optimum {best}"
@@ -165,9 +164,7 @@ def injection_runs():
                 value_col=3, t0=truth.t0,
             )
             dicts = ModeDictionary.for_config(cfg)
-            engine_cfg = EngineConfig(
-                n_modes=3, stride=truth.stride, k=1, l=5, max_epochs=5
-            )
+            engine_cfg = EngineConfig(k=1, l=5, max_epochs=5)
             last = None
             for out in run_stream(parse_tuples(iter(lines), cfg, dicts), engine_cfg):
                 last = out
@@ -178,7 +175,7 @@ def injection_runs():
             dicts2 = ModeDictionary.for_config(cfg)
             for event in parse_tuples(iter(lines), cfg, dicts2):
                 full.add(event)
-            rerun_top = detect_top_blocks(full, DetectParams(1, 3))[0]
+            rerun_top = detect_top_blocks(full, 1)[0]
             results[(seed, density)] = {
                 "f": f_measure,
                 "stream_density": last.top_k[0].density if last.top_k else 0.0,
@@ -226,7 +223,7 @@ def test_criterion_6_streaming_close_to_rerun(injection_runs):
 
 def test_criterion_7_scaling_slopes():
     started = time.perf_counter()
-    cfg = EngineConfig(n_modes=3, stride=1, k=3, l=2)
+    cfg = EngineConfig(k=3, l=2)
     engine = scaling_run(
         [1000, 2000, 4000, 8000, 16000], cfg=cfg, seed=0, repeats=5
     )

@@ -99,11 +99,12 @@ class TestRun:
             ("a\tb\tnan\t1", [], 2, "line 1"),
             ("a\tb\tinf\t1", [], 2, "line 1"),
             ("a\tb\t100\t1", ["--stride", "1e-320"], 2, "line 1"),
+            ("a\tb\t5\t1", ["--stride", "1e-300", "--t0", "0"], 2, "line 1"),
             ("a\tb\t100\t1", ["--t0", "nan"], 3, "t0 must be finite"),
             ("a\tb\t100\t1", ["--stride", "inf"], 3, "stride must be positive"),
         ],
         ids=["value-nan", "value-inf", "time-nan", "time-inf", "bin-overflow",
-             "t0-nan", "stride-inf"],
+             "bin-past-2**53", "t0-nan", "stride-inf"],
     )
     def test_non_finite_numbers_end_with_exit_code(self, tmp_path, line, flags, code, message):
         stream = tmp_path / "in.tsv"
@@ -384,6 +385,41 @@ class TestEvaluate:
         truth = tmp_path / "t.json"
         truth.write_text(TRUTH)
         assert tensorsplice.cli._read_truth(str(truth)).mode_ids == [["a"]]
+
+    def test_bin_past_2_pow_53_is_input_error(self, tmp_path, capsys):
+        # Without the bound this stepped through about 5e300 empty bins.
+        stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
+        stream.write_text("a\tb\t5\t1\n")
+        truth.write_text(TRUTH.replace('[["a"]]', '[["a"],["b"]]').replace(
+            '"stride":1', '"stride":1e-300'))
+        code = main(["evaluate", "--input", str(stream), "--truth", str(truth)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: line 1: timestamp '5' is too far from the stream origin\n"
+        )
+
+    @pytest.mark.parametrize(
+        "overwritten, link", [("truth", False), ("input", True)],
+        ids=["truth-same-path", "input-symlink"],
+    )
+    def test_output_naming_an_input_is_config_error(
+        self, overwritten, link, tmp_path, capsys
+    ):
+        stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
+        stream.write_bytes((DATA / "golden_input.tsv").read_bytes())
+        truth.write_text(TRUTH)
+        output = stream if overwritten == "input" else truth
+        if link:
+            output = tmp_path / "link"
+            output.symlink_to(stream if overwritten == "input" else truth)
+        code = main(["evaluate", "--input", str(stream), "--truth", str(truth),
+                     "--output", str(output)])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error: --output {output} is the --{overwritten} file\n"
+        )
+        assert stream.read_bytes() == (DATA / "golden_input.tsv").read_bytes()
+        assert truth.read_text() == TRUTH
 
     def test_per_entry_without_cells_is_input_error(self, tmp_path, capsys):
         stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from tensorsplice import (
     Block,
-    DetectParams,
     Event,
-    ShapeMismatch,
     TensorSlice,
     detect_top_blocks,
 )
@@ -40,16 +38,16 @@ def planted_4x4() -> dict:
 
 class TestDetectTopBlocks:
     def test_empty_slice(self):
-        assert detect_top_blocks(slice_of({}), DetectParams(3, 3)) == []
+        assert detect_top_blocks(slice_of({}), 3) == []
 
     def test_single_entry(self):
-        found = detect_top_blocks(slice_of({(4, 2, 0): 6}), DetectParams(1, 3))
+        found = detect_top_blocks(slice_of({(4, 2, 0): 6}), 1)
         assert len(found) == 1
         assert found[0].entries == {(4, 2, 0): 6}
         assert found[0].density == pytest.approx(2.0)
 
     def test_planted_core_found(self):
-        found = detect_top_blocks(slice_of(planted_4x4()), DetectParams(1, 3))
+        found = detect_top_blocks(slice_of(planted_4x4()), 1)
         core = found[0]
         assert core.entries == {(u, o, 0): 5 for u in (0, 1) for o in (0, 1)}
         assert core.density == pytest.approx(4.0)
@@ -60,9 +58,7 @@ class TestDetectTopBlocks:
         rng = random.Random(3)
         for _ in range(50):
             source = random_block(rng, max_id=3, max_entries=12)
-            found = detect_top_blocks(
-                slice_of(source.entries), DetectParams(4, 3)
-            )
+            found = detect_top_blocks(slice_of(source.entries), 4)
             seen = set()
             for block in found:
                 for key, value in block.entries.items():
@@ -74,24 +70,20 @@ class TestDetectTopBlocks:
         rng = random.Random(5)
         for _ in range(50):
             source = random_block(rng, max_id=3, max_entries=12)
-            found = detect_top_blocks(slice_of(source.entries), DetectParams(4, 3))
+            found = detect_top_blocks(slice_of(source.entries), 4)
             densities = [b.density for b in found]
             assert densities == sorted(densities, reverse=True)
 
     def test_deterministic(self):
         rng = random.Random(9)
         source = random_block(rng, max_id=4, max_entries=12)
-        a = detect_top_blocks(slice_of(source.entries), DetectParams(3, 3))
-        b = detect_top_blocks(slice_of(source.entries), DetectParams(3, 3))
+        a = detect_top_blocks(slice_of(source.entries), 3)
+        b = detect_top_blocks(slice_of(source.entries), 3)
         assert a == b
-
-    def test_mode_count_checked(self):
-        with pytest.raises(ShapeMismatch):
-            detect_top_blocks(slice_of({(0, 0, 0): 1}), DetectParams(1, 4))
 
     def test_num_blocks_validated(self):
         with pytest.raises(ValueError):
-            DetectParams(0, 3)
+            detect_top_blocks(slice_of({(0, 0, 0): 1}), 0)
 
 
 def peel(block: Block) -> Block:
@@ -115,7 +107,7 @@ class TestPeelOnce:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            peel(Block.empty(3))
+            peel(Block(3))
 
     def test_result_never_less_dense_than_input(self):
         rng = random.Random(21)
@@ -137,7 +129,7 @@ def test_greedy_meets_half_of_brute_force():
     rng = random.Random(4)
     for _ in range(60):
         block = random_block(rng, max_id=3, max_entries=12)
-        found = detect_top_blocks(slice_of(block.entries), DetectParams(1, 3))
+        found = detect_top_blocks(slice_of(block.entries), 1)
         got = Fraction(found[0].mass, found[0].size)
         assert 2 * got >= brute_force_best_density(block)
 
@@ -179,8 +171,8 @@ def tensors(draw):
 @settings(max_examples=examples(300), deadline=None)
 @given(source=tensors(), num_blocks=st.integers(1, 8))
 def test_detector_matches_rebuilding_reference(source, num_blocks):
-    got = detect_top_blocks(source, DetectParams(num_blocks, source.n_modes))
-    want = reference_detect(source.to_block(), num_blocks)
+    got = detect_top_blocks(source, num_blocks)
+    want = reference_detect(Block(source.n_modes, source.entries), num_blocks)
     assert got == want
     assert [b.mass for b in got] == [b.mass for b in want]
 
@@ -191,7 +183,7 @@ def test_batch_yields_to_a_lower_mode_tie():
     # Removing item 0 drops user 1 to mass 1, and mode 0 wins that tie, so
     # the next round drops user 1 and not item 1.
     entries = {(0, 1): 1, (1, 3): 1, (0, 2): 2, (1, 0): 1}
-    found = detect_top_blocks(slice_of(entries, 2), DetectParams(1, 2))
+    found = detect_top_blocks(slice_of(entries, 2), 1)
     assert found == reference_detect(mk(entries, 2), 1)
     assert found[0].entries == {(0, 1): 1, (0, 2): 2}
 
@@ -205,7 +197,7 @@ def test_batch_yields_once_a_float_mass_reaches_the_average():
     # which compares as denser than the start because 0.4 * 6 rounds above
     # 0.6 * 4.
     entries = {(2, 2): 0.2, (0, 2): 0.1, (0, 1): 0.1, (0, 3): 0.1, (2, 0): 0.1}
-    found = detect_top_blocks(slice_of(entries, 2), DetectParams(1, 2))
+    found = detect_top_blocks(slice_of(entries, 2), 1)
     assert found == reference_detect(mk(entries, 2), 1)
     assert found[0].entries == {(2, 2): 0.2, (0, 2): 0.1}
 

@@ -5,11 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorsplice import (
-    DetectParams,
     EngineConfig,
     EngineState,
     Event,
     OutOfOrderSlice,
+    ShapeMismatch,
     TensorSlice,
     TimeRegression,
     detect_top_blocks,
@@ -35,7 +35,7 @@ def dense_bin(bin_: int, users, objects, value=4) -> dict:
     return {(u, o, bin_): value for u in users for o in objects}
 
 
-CFG = EngineConfig(n_modes=3, stride=1, k=3, l=2)
+CFG = EngineConfig(k=3, l=2)
 
 
 class TestStep:
@@ -43,7 +43,7 @@ class TestStep:
         entries = dense_bin(0, range(2), range(2))
         entries[(9, 9, 0)] = 1
         state, out = step(EngineState(), slice_for(0, entries), CFG)
-        expected = detect_top_blocks(slice_for(0, entries), DetectParams(5, 3))
+        expected = detect_top_blocks(slice_for(0, entries), 5)
         assert state.retained == expected
         assert out.top_k == expected[: CFG.k]
         assert state.frontier == 1 and out.step_index == 0
@@ -52,6 +52,12 @@ class TestStep:
         state = EngineState()
         with pytest.raises(OutOfOrderSlice):
             step(state, slice_for(3, {(0, 0, 3): 1}), CFG)
+
+    def test_slice_of_another_arity_rejected(self):
+        state, _ = step(EngineState(), slice_for(0, dense_bin(0, range(2), range(2))), CFG)
+        other = slice_for(1, {(0, 0, 0, 1): 1}, n_modes=4)
+        with pytest.raises(ShapeMismatch):
+            step(state, other, CFG)
 
     def test_empty_slice_keeps_converged_state(self):
         entries = dense_bin(0, range(2), range(2))
@@ -82,7 +88,7 @@ class TestStep:
         both = TensorSlice(3, (0, 2))
         for key, value in (bin0 | bin1).items():
             both.add(Event(key, value))
-        batch = detect_top_blocks(both, DetectParams(1, 3))[0]
+        batch = detect_top_blocks(both, 1)[0]
         assert top.density >= 0.9 * batch.density
 
     def test_top_density_never_drops_during_splicing(self):
@@ -97,7 +103,7 @@ class TestStep:
             pool_best = max(
                 (b.density for b in state.retained), default=0.0
             )
-            incoming = detect_top_blocks(slice_, DetectParams(5, 3))
+            incoming = detect_top_blocks(slice_, 5)
             pool_best = max(pool_best, incoming[0].density)
             state, out = step(state, slice_, CFG)
             assert out.top_k[0].density >= pool_best - 1e-12
@@ -119,7 +125,7 @@ class TestStep:
                     assert value <= accumulated[key]
 
     def test_unbounded_epochs_reach_fixed_point(self):
-        cfg = EngineConfig(n_modes=3, stride=1, k=3, l=2, max_epochs=10_000)
+        cfg = EngineConfig(k=3, l=2, max_epochs=10_000)
         rng = random.Random(13)
         state = EngineState()
         for bin_ in range(3):
@@ -160,6 +166,14 @@ class TestRunStream:
             with pytest.raises(TimeRegression):
                 list(consume(events, CFG))
 
+    @pytest.mark.parametrize("later_bin", [0, 1], ids=["same-bin", "next-bin"])
+    def test_arity_change_rejected(self, later_bin):
+        # The first event sets the arity; no config states it.
+        events = [Event((0, 0, 0), 1), Event((0, 0, 0, later_bin), 1)]
+        for consume in STREAM_CONSUMERS:
+            with pytest.raises(ShapeMismatch):
+                list(consume(events, CFG))
+
     def test_planted_block_reported_from_first_full_stride(self):
         rng = random.Random(17)
         events = []
@@ -195,7 +209,7 @@ def test_four_mode_stream_end_to_end():
     dicts = ModeDictionary.for_config(cfg)
     outputs = list(run_stream(
         parse_tuples(iter(lines), cfg, dicts),
-        EngineConfig(n_modes=4, stride=50, k=2, l=1),
+        EngineConfig(k=2, l=1),
     ))
     assert len(outputs) == 2
     top = outputs[-1].top_k[0]
@@ -210,13 +224,12 @@ class TestConfigValidation:
         [
             {"k": 0},
             {"l": -1},
-            {"stride": 0},
+            {"k": -1},
             {"max_epochs": 0},
-            {"n_modes": 1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        base = {"n_modes": 3, "stride": 1, "k": 1, "l": 0, "max_epochs": 1}
+        base = {"k": 1, "l": 0, "max_epochs": 1}
         base.update(kwargs)
         with pytest.raises(ValueError):
             EngineConfig(**base)
@@ -255,7 +268,7 @@ def test_step_matches_memo_free_sweep(stream, k, l):
     # keyed by id() alone fails the explicit example: blocks superseded
     # during the step are freed and their ids reused.
     n_modes, bins = stream
-    cfg = EngineConfig(n_modes=n_modes, stride=1, k=k, l=l)
+    cfg = EngineConfig(k=k, l=l)
     state = EngineState()
     for t, entries in enumerate(bins):
         slice_ = slice_for(t, entries, n_modes)

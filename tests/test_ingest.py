@@ -66,6 +66,17 @@ class TestParsing:
         with pytest.raises(BadTimestamp):
             parse_all(["a,b,100", "a,b,99"], csv_cfg())
 
+    def test_offset_of_2_pow_53_bins_rejected(self):
+        # From 2**53 on, a float quotient cannot tell neighbouring bins apart.
+        events, _ = parse_all([f"a,b,{2**53 - 1}"], csv_cfg(stride=1, t0=0))
+        assert events[0].ids[-1] == 2**53 - 1
+        for line, cfg in ((f"a,b,{2**53}", csv_cfg(stride=1, t0=0)),
+                          ("a,b,5", csv_cfg(stride=1e-300, t0=0))):
+            with pytest.raises(BadTimestamp) as info:
+                parse_all(["a,b,0", line], cfg)
+            assert str(info.value).startswith("line 2: ")
+            assert "too far from the stream origin" in str(info.value)
+
     def test_zero_value_dropped(self):
         events, _ = parse_all(["a,b,100,0", "a,b,120,2"], csv_cfg(value_col=3))
         assert len(events) == 1 and events[0].value == 2

@@ -156,13 +156,13 @@ class TestEmptyQStep:
 class TestSplicePair:
     def test_empty_donor_untouched(self):
         b1 = mk({(0, 0, 0): 5})
-        b2 = Block.empty(3)
+        b2 = Block(3)
         r1, r2 = splice_pair(b1, b2)
         assert r1 is b1 and r2 is b2
 
     def test_empty_target_rejected(self):
         with pytest.raises(DegenerateBlock):
-            splice_pair(Block.empty(3), mk({(0, 0, 0): 1}))
+            splice_pair(Block(3), mk({(0, 0, 0): 1}))
 
     def test_target_must_be_denser(self):
         light = mk({(0, 0, 0): 1, (1, 1, 1): 1})

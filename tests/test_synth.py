@@ -133,7 +133,7 @@ class TestGenerator:
             value_col=3, t0=truth.t0,
         )
         dicts = ModeDictionary.for_config(cfg)
-        engine_cfg = EngineConfig(n_modes=3, stride=truth.stride, k=3, l=2)
+        engine_cfg = EngineConfig(k=3, l=2)
         planted_users = set(truth.mode_ids[0])
         outputs = list(run_stream(parse_tuples(iter(lines), cfg, dicts), engine_cfg))
         assert len(outputs) == spec.n_bins
