@@ -198,6 +198,8 @@ def iter_rerun_outputs(
             top_k=found[: cfg.k],
             timing={"detect": elapsed, "splice": 0.0},
         )
+        # The next detect, on a larger tensor, runs without these blocks.
+        del found
 
 
 def cmd_stream(args) -> int:
@@ -219,6 +221,7 @@ def cmd_stream(args) -> int:
             steps += 1
             detect_s += output.timing["detect"]
             splice_s += output.timing["splice"]
+            del output  # not kept alive while the next step is computed
     wall = time.perf_counter() - started
     print(
         f"steps={steps} nnz={counts['nnz']} detect={detect_s:.3f}s "

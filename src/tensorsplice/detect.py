@@ -9,38 +9,44 @@ state seen across all rounds is returned, earliest state winning ties.
 The detector repeats runs on what the earlier runs left, so the returned
 blocks are entry-disjoint. They come back ordered by non-increasing density.
 
-A detect call indexes the slice once (a ``PeelIndex``) in lists. Entries
-are numbered in entry order, and each mode's ids are renumbered densely in
-increasing id order, so ``(mass, ordinal)`` heap records sort exactly like
-``(mass, id)``. Per entry the index holds its key, its value and its
-ordinal in each mode, and a ``bytearray`` marks the live entries. Per mode
-it holds each ordinal's mass (``None`` once the id is gone), entry count
-and postings (its live entry numbers, in entry order), and a heap of
-``(mass, ordinal)`` records whose outdated ones are skipped lazily. Every
-run peels copies of the live marks, masses, counts and heaps and shares the
-rest read-only. After a run, the found block's entries leave the index, and
-each id the block touched has its postings, count and mass recomputed from
-its remaining entries, with one fresh heap record.
+A detect call indexes the slice once (a ``PeelIndex``) in flat lists over
+one id space. Entries are numbered in entry order. Each (mode, id) pair is
+numbered by a gid: the mode's offset plus the id's rank within its mode, so
+each mode owns one range of gids, in mode order, and ``(mass, gid)`` heap
+records sort exactly like ``(mass, mode, id)``. Per entry the index holds
+its key, its value and its gid in each mode, and a ``bytearray`` marks the
+live entries. Per gid it holds a mass (``None`` once the id is gone) and a
+live entry count. The postings are CSR: one flat list holds every gid's
+entry numbers, grouped by gid, and an offsets array gives where each gid's
+group starts; its live entries, in entry order, fill the front of the
+group. One heap holds ``(mass, gid)`` records, whose outdated ones are
+skipped lazily. Every run peels copies of the live marks, masses, counts
+and heap and shares the rest read-only. After a run, the found block's
+entries leave the index, and each gid the block touched has its group
+compacted, its count and mass recomputed from its remaining entries, and
+one fresh heap record.
 
 The result is exactly that of indexing the remainder from scratch before
-every run. Postings keep entry order, and an id's mass is summed over its
+every run. Postings keep entry order, and a gid's mass is summed over its
 entries in that order, so float masses match bit for bit.
 
-Inside a run, a removed entry lowers the mass of its id in every other
-mode, but only marks that id dirty in its mode's set; the next pick pushes
-one record per dirty live id. The live records in each heap are then
-exactly the live ids at their current masses, so picks and the ``(mass,
-mode, id)`` tie breaks come out as if every decrement had pushed a record.
+Inside a run, a removed entry lowers the mass of its gid in every other
+mode, but only marks that gid dirty; the next pick pushes one record per
+dirty live gid. The live records in the heap are then exactly the live
+gids at their current masses, so picks and the ``(mass, mode, id)`` tie
+breaks come out as if every decrement had pushed a record. A bulk round
+pops every live record at or below the average, drops the picked mode's
+gids among them and pushes the other modes' records back.
 
 On sparse data nearly every round drops a single id, so single removals
-are batched. After a pick ``(mu, m)`` with ``mu * size > total``, mode
-``m``'s next id goes without a fresh pick while its record weighs exactly
-``mu``, ``mu * size > total`` still holds, and no decrement took an id of
-another mode below ``mu``, or down to ``mu`` in a lower mode. Removing an
-id of mode ``m`` changes no other id's mass in mode ``m``, and every other
-mode's ids sorted after ``(mu, m)`` at the pick and, by the last rule,
-still do, so a full pick would choose the same id and drop it alone. The
-best state is still checked after every id.
+are batched. After a pick ``(mu, g)`` in mode ``m`` with ``mu * size >
+total``, the next live record's id goes without a fresh pick while that
+record is mode ``m``'s, weighs exactly ``mu``, ``mu * size > total`` still
+holds, and no decrement took an id of another mode below ``mu``, or down to
+``mu`` in a lower mode. Removing an id of mode ``m`` changes no other id's
+mass in mode ``m``, and every other mode's ids sorted after ``(mu, g)`` at
+the pick and, by the last rule, still do, so a full pick would choose the
+same id and drop it alone. The best state is still checked after every id.
 
 The batch also stops once ``mu * size <= total``, where a full pick starts
 a bulk round. With exact (integer) values that stop changes no result.
@@ -59,7 +65,10 @@ the stop is needed; ``tests/test_detect.py`` pins such a case.
 from __future__ import annotations
 
 import heapq
-from itertools import compress
+from array import array
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate, compress
 from operator import itemgetter
 
 from .blocks import Block, TensorSlice
@@ -69,65 +78,70 @@ from .errors import ConfigError
 class PeelIndex:
     """The remaining tensor of one detect call, indexed for peeling.
 
-    Entry ``e`` has key ``keys[e]``, value ``values[e]`` and ordinal
-    ``ids[mode][e]`` in each mode. ``number`` maps each live key to its
-    entry number, and ``alive[e]`` is set while entry ``e`` is live. An
-    ordinal is live while its mass is not ``None``; ``postings`` lists
-    exactly the live entries of each ordinal, in entry order.
+    Entry ``e`` has key ``keys[e]``, value ``values[e]`` and gid
+    ``ids[mode][e]`` in each mode; mode ``m`` owns the gids from
+    ``starts[m]`` up to ``starts[m + 1]``. ``number`` maps each live key to
+    its entry number, and ``alive[e]`` is set while entry ``e`` is live. A
+    gid ``g`` is live while its mass is not ``None``, and its live entries,
+    in entry order, are ``postings[offsets[g]:offsets[g] + counts[g]]``.
     """
 
     __slots__ = ("n_modes", "keys", "values", "number", "alive", "ids",
-                 "masses", "counts", "postings", "heaps")
+                 "starts", "masses", "counts", "offsets", "postings", "heap")
 
     def __init__(self, n_modes: int, entries: dict):
         self.n_modes = n_modes
         self.keys = keys = list(entries)
         self.values = values = list(entries.values())
-        self.number = dict(zip(keys, range(len(keys))))
+        numbers = list(range(len(keys)))  # one int object per entry, shared
+        self.number = dict(zip(keys, numbers))
         self.alive = bytearray(b"\x01") * len(keys)
         self.ids: list[list[int]] = []
-        self.masses: list[list] = []
-        self.counts: list[list[int]] = []
-        self.postings: list[list[list[int]]] = []
-        self.heaps: list[list] = []
+        self.starts = starts = [0]
+        self.masses: list = []
+        self.counts: list[int] = []
+        self.postings: list[int] = []
+        masses, counts, postings = self.masses, self.counts, self.postings
+        gids: list[int] = []
         for mode in range(n_modes):
             labels = sorted(set(map(itemgetter(mode), keys)))
-            ordinal = {idx: o for o, idx in enumerate(labels)}
-            ids = [ordinal[key[mode]] for key in keys]
-            masses: list = [0] * len(labels)
-            postings: list[list[int]] = [[] for _ in labels]
-            for e, (o, value) in enumerate(zip(ids, values)):
-                masses[o] = masses[o] + value
-                postings[o].append(e)
-            heap = list(zip(masses, range(len(labels))))
-            heapq.heapify(heap)
+            mode_gids = list(range(len(gids), len(gids) + len(labels)))
+            gid = dict(zip(labels, mode_gids))
+            ids = list(map(gid.__getitem__, map(itemgetter(mode), keys)))
+            masses += [0] * len(labels)
+            for g, value in zip(ids, values):
+                masses[g] = masses[g] + value
+            counts += map(Counter(ids).__getitem__, mode_gids)
+            # Stable, so each gid's entries stay in entry order.
+            postings += sorted(numbers, key=ids.__getitem__)
             self.ids.append(ids)
-            self.masses.append(masses)
-            self.counts.append(list(map(len, postings)))
-            self.postings.append(postings)
-            self.heaps.append(heap)
+            gids += mode_gids
+            starts.append(len(gids))
+        # Fixed after the build, so kept unboxed: 8 bytes per gid.
+        self.offsets = array("q", accumulate(counts, initial=0))
+        self.heap = list(zip(masses, gids))
+        heapq.heapify(self.heap)
 
     def remove(self, block: Block) -> None:
-        """Delete a block's entries and re-index every id they touched."""
+        """Delete a block's entries and re-index every gid they touched."""
         number, alive, values = self.number, self.alive, self.values
+        masses, counts, offsets, postings = self.masses, self.counts, self.offsets, self.postings
         gone = [number.pop(key) for key in block.entries]
         for e in gone:
             alive[e] = 0
-        for ids, masses, counts, postings, heap in zip(
-            self.ids, self.masses, self.counts, self.postings, self.heaps
-        ):
-            for o in {ids[e] for e in gone}:
-                live = [e for e in postings[o] if alive[e]]
-                postings[o] = live
-                counts[o] = len(live)
-                if not live:
-                    masses[o] = None
-                    continue
-                mass = 0
-                for e in live:
-                    mass = mass + values[e]
-                masses[o] = mass
-                heapq.heappush(heap, (mass, o))
+        for g in {ids[e] for ids in self.ids for e in gone}:
+            start = offsets[g]
+            live = [e for e in postings[start:start + counts[g]] if alive[e]]
+            postings[start:start + len(live)] = live
+            counts[g] = len(live)
+            if not live:
+                masses[g] = None
+                continue
+            mass = 0
+            for e in live:
+                mass = mass + values[e]
+            masses[g] = mass
+            heapq.heappush(self.heap, (mass, g))
 
 
 def peel_once(working: PeelIndex) -> Block:
@@ -140,117 +154,110 @@ def peel_once(working: PeelIndex) -> Block:
     nnz = len(working.number)
     if not nnz:
         raise ValueError("cannot peel an empty block")
-    n = working.n_modes
-    values = working.values
-    postings = working.postings
+    values, starts = working.values, working.starts
+    postings, offsets, group_sizes = working.postings, working.offsets, working.counts
     alive = working.alive[:]
-    masses = [list(m) for m in working.masses]
-    counts = [list(c) for c in working.counts]
-    heaps = [list(h) for h in working.heaps]
-    dirty: list[set[int]] = [set() for _ in range(n)]
-    # Per mode, what its removals update in every other mode, and whether
-    # that other mode wins mass ties against it.
-    others = [
-        [(working.ids[o], masses[o], counts[o], dirty[o], o < mode)
-         for o in range(n) if o != mode]
-        for mode in range(n)
-    ]
+    masses = working.masses[:]
+    counts = working.counts[:]
+    heap = working.heap[:]
+    dirty: set[int] = set()
+    # Per mode, the entry-to-gid lists of every other mode.
+    others = [working.ids[:mode] + working.ids[mode + 1:] for mode in range(working.n_modes)]
     heappush, heappop = heapq.heappush, heapq.heappop
 
     total = sum(compress(values, alive))
-    size = sum(len(m) - m.count(None) for m in masses)
+    size = len(masses) - masses.count(None)
     best_mass, best_size, best_cut = total, size, 0
     removal_log: list[int] = []
 
     while len(removal_log) < nnz:
-        # Lightest live id over all modes, once every dirty id has a record
-        # at its current mass; stale records are dropped on the way.
-        pick = None
-        for mode in range(n):
-            h = heaps[mode]
-            live = masses[mode]
-            for o in dirty[mode]:
-                mass = live[o]
-                if mass is not None:
-                    heappush(h, (mass, o))
-            dirty[mode].clear()
-            while h:
-                mass, o = h[0]
-                if live[o] == mass:
-                    if pick is None or (mass, mode, o) < pick:
-                        pick = (mass, mode, o)
-                    break
-                heappop(h)
-        mu, mode, o = pick
-        h = heaps[mode]
-        live = masses[mode]
+        # Lightest live gid, once every dirty gid has a record at its
+        # current mass; stale records are dropped on the way.
+        for g in dirty:
+            mass = masses[g]
+            if mass is not None:
+                heappush(heap, (mass, g))
+        dirty.clear()
+        while True:
+            mu, g = heap[0]
+            if masses[g] == mu:
+                break
+            heappop(heap)
+        mode = bisect_right(starts, g) - 1
+        lo, hi = starts[mode], starts[mode + 1]
         if mu * size <= total:  # mu <= total/size, round-start total/size
             batch = False
             doomed: list[int] = []
-            while h:
-                mass, o = h[0]
-                if live[o] != mass:
-                    heappop(h)
+            spared: list[tuple] = []
+            while heap:
+                mass, g = heap[0]
+                if masses[g] != mass:
+                    heappop(heap)
                 elif mass * size <= total:
-                    heappop(h)
-                    live[o] = None
-                    doomed.append(o)
+                    heappop(heap)
+                    if lo <= g < hi:
+                        masses[g] = None
+                        doomed.append(g)
+                    else:
+                        spared.append((mass, g))
                 else:
                     break
+            for record in spared:
+                heappush(heap, record)
         else:
             # Nothing at or below average: drop the single lightest id so
             # the peel always terminates, and the next ones while a full
             # pick would choose them alone (see the module docstring).
             batch = True
-            heappop(h)
-            live[o] = None
-            doomed = [o]
+            heappop(heap)
+            masses[g] = None
+            doomed = [g]
 
-        mode_postings = postings[mode]
-        other_modes = others[mode]
+        other_ids = others[mode]
         while True:
             overtaken = False
-            for o in doomed:
+            for g in doomed:
                 size -= 1
-                for e in mode_postings[o]:
+                start = offsets[g]
+                for e in postings[start:start + group_sizes[g]]:
                     if not alive[e]:
                         continue
                     alive[e] = 0
                     value = values[e]
                     total -= value
                     removal_log.append(e)
-                    for ids, other_masses, other_counts, marked, lower in other_modes:
+                    for ids in other_ids:
                         x = ids[e]
-                        left = other_counts[x] - 1
-                        other_counts[x] = left
+                        left = counts[x] - 1
+                        counts[x] = left
                         if left:
-                            mass = other_masses[x] - value
-                            other_masses[x] = mass
-                            marked.add(x)
-                            if mass <= mu and (lower or mass < mu):
+                            mass = masses[x] - value
+                            masses[x] = mass
+                            dirty.add(x)
+                            if mass <= mu and (mass < mu or x < lo):
                                 overtaken = True
                         else:
-                            other_masses[x] = None
+                            masses[x] = None
                             size -= 1
 
             if size > 0 and total * best_size > best_mass * size:
                 best_mass, best_size, best_cut = total, size, len(removal_log)
             if not batch or overtaken or len(removal_log) == nnz:
                 break
-            while True:  # entries are left, so this mode has a live record
-                mass, o = h[0]
-                if live[o] == mass:
+            while True:  # entries are left, so mode m's live gids have records
+                mass, g = heap[0]
+                if masses[g] == mass:
                     break
-                heappop(h)
-            if mass != mu or mu * size <= total:
+                heappop(heap)
+            if not lo <= g < hi or mass != mu or mu * size <= total:
                 break
-            heappop(h)
-            live[o] = None
-            doomed = [o]
+            heappop(heap)
+            masses[g] = None
+            doomed = [g]
 
     keys = working.keys
     kept = sorted(removal_log[best_cut:])
-    return Block._adopt(n, {keys[e]: values[e] for e in kept})
+    return Block._adopt(working.n_modes, {keys[e]: values[e] for e in kept})
 
 
 def detect_top_blocks(source: TensorSlice, num_blocks: int) -> list[Block]:
@@ -263,7 +270,8 @@ def detect_top_blocks(source: TensorSlice, num_blocks: int) -> list[Block]:
         # Looked up as a module global on every run, so wrappers see each one.
         block = peel_once(index)
         found.append(block)
-        if len(found) == num_blocks:
+        # Nothing reads the index after a run that took every live entry.
+        if len(found) == num_blocks or block.nnz == len(index.number):
             break
         index.remove(block)
     # Stable sort: equal densities keep discovery order.

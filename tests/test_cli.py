@@ -30,12 +30,18 @@ def subprocess_env() -> dict:
     return env
 
 
+# Every CLI call here takes well under a second, so a command that loops
+# fails its test (``TimeoutExpired``) instead of stalling the whole suite.
+TIMEOUT_S = 60
+
+
 def cli(*args) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "tensorsplice.cli", *args],
         capture_output=True,
         text=True,
         env=subprocess_env(),
+        timeout=TIMEOUT_S,
     )
 
 
@@ -138,6 +144,7 @@ class TestRun:
                 stderr=subprocess.PIPE,
                 text=True,
                 env=subprocess_env(),
+                timeout=TIMEOUT_S,
             )
         finally:
             os.close(write_end)

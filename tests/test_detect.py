@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -202,28 +203,33 @@ def test_batch_yields_once_a_float_mass_reaches_the_average():
     assert found[0].entries == {(2, 2): 0.2, (0, 2): 0.1}
 
 
+def group(index: PeelIndex, g: int) -> list[int]:
+    """The live entry numbers of gid ``g``, from its CSR group."""
+    start = index.offsets[g]
+    return index.postings[start:start + index.counts[g]]
+
+
 def by_id(index: PeelIndex) -> list[dict]:
     """Per mode, each live id's mass, count and posting keys, keyed by id."""
     tables = []
     for mode in range(index.n_modes):
         table = {}
-        for o, mass in enumerate(index.masses[mode]):
+        for g in range(index.starts[mode], index.starts[mode + 1]):
+            mass = index.masses[g]
             if mass is not None:
-                keys = [index.keys[e] for e in index.postings[mode][o]]
-                table[keys[0][mode]] = (mass, index.counts[mode][o], keys)
+                keys = [index.keys[e] for e in group(index, g)]
+                table[keys[0][mode]] = (mass, index.counts[g], keys)
         tables.append(table)
     return tables
 
 
 def live_records(index: PeelIndex) -> list[set]:
     """Per mode, the heap records that still match their id's mass, by id."""
-    records = []
-    for mode, heap in enumerate(index.heaps):
-        masses, postings = index.masses[mode], index.postings[mode]
-        records.append({
-            (mass, index.keys[postings[o][0]][mode])
-            for mass, o in heap if masses[o] == mass
-        })
+    records = [set() for _ in range(index.n_modes)]
+    for mass, g in index.heap:
+        if index.masses[g] == mass:
+            mode = bisect_right(index.starts, g) - 1
+            records[mode].add((mass, index.keys[group(index, g)[0]][mode]))
     return records
 
 

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorsplice import (
+    Block,
     EngineConfig,
     EngineState,
     Event,
@@ -17,7 +18,13 @@ from tensorsplice import (
     step,
 )
 from tensorsplice.cli import iter_rerun_outputs
-from conftest import examples, family_violations, ordered_pair, reference_sweep
+from conftest import (
+    examples,
+    family_violations,
+    ordered_pair,
+    reference_detect,
+    reference_sweep,
+)
 
 # Both consumers of the shared bin partition: the tracking engine and the
 # full re-detection baseline.
@@ -278,3 +285,21 @@ def test_step_matches_memo_free_sweep(stream, k, l):
             (list(b.entries.items()), repr(b.mass)) for b in want
         ]
 
+
+@settings(max_examples=examples(150), deadline=None)
+@given(stream=bin_streams(), k=st.integers(1, 3), l=st.integers(0, 2))
+def test_rerun_matches_reference_detect_on_every_prefix(stream, k, l):
+    # Each oracle step re-detects on the whole prefix, so neither the
+    # detector's index nor the previous step's blocks may leak into it.
+    # Empty bins are gaps in the event stream.
+    n_modes, bins = stream
+    events = [Event(key, value) for entries in bins for key, value in entries.items()]
+    cfg = EngineConfig(k=k, l=l)
+    outputs = list(iter_rerun_outputs(events, cfg))
+    assert len(outputs) == (events[-1].ids[-1] + 1 if events else 0)
+    prefix: dict = {}
+    for output, entries in zip(outputs, bins):
+        prefix.update(entries)
+        want = reference_detect(Block(n_modes, prefix), cfg.pool_size)[:k] if prefix else []
+        assert output.top_k == want
+        assert [b.mass for b in output.top_k] == [b.mass for b in want]
