@@ -73,7 +73,10 @@ class TensorSlice:
         if not 0 < event.value < math.inf:
             raise ValueError("slice entries must have positive finite values")
         key = tuple(event.ids)
-        self.entries[key] = self.entries.get(key, 0) + event.value
+        value = self.entries.get(key, 0) + event.value
+        if value == math.inf:
+            raise ValueError(f"entry {key!r} accumulates past the largest float")
+        self.entries[key] = value
 
     @property
     def nnz(self) -> int:
@@ -143,18 +146,6 @@ class Block:
 
     def sorted_ids(self, mode: int) -> list[int]:
         return sorted(self.index_sets[mode])
-
-    def union_with(self, addition: "Block") -> "Block":
-        """Per-mode id-set union; colliding entry keys sum their values."""
-        if addition.n_modes != self.n_modes:
-            raise ShapeMismatch(
-                f"cannot merge a {addition.n_modes}-mode block into "
-                f"a {self.n_modes}-mode block"
-            )
-        merged = dict(self.entries)
-        for key, value in addition.entries.items():
-            merged[key] = merged.get(key, 0) + value
-        return Block._adopt(self.n_modes, merged)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Block):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Iterator
@@ -25,6 +26,7 @@ from .engine import StepOutput
 from .errors import (
     BadTimestamp,
     ConfigError,
+    IngestError,
     MalformedLine,
     NegativeValue,
     TimeRegression,
@@ -33,6 +35,12 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "tensorsplice/1"
+
+# The most one input's values may sum to. With fewer than 2**53 tuples and
+# 2**10 modes, every ``mass * size``, ``q * mass`` and ``mu * size`` stays
+# finite: a running float sum is within a factor e of the exact one, so any
+# mass or ``mu`` is below e * e * ceiling, and any size or q below 2**63.
+MASS_CEILING = sys.float_info.max / 2**66
 
 
 @dataclass
@@ -157,8 +165,8 @@ def _parse_value(raw: str, lineno: int) -> int | float:
             value = float(raw)
         except ValueError:
             raise MalformedLine(f"bad value field: {raw!r}", lineno) from None
-    if not math.isfinite(value):
-        raise MalformedLine(f"non-finite value field: {raw!r}", lineno)
+        if not math.isfinite(value):  # an int is finite, however long
+            raise MalformedLine(f"non-finite value field: {raw!r}", lineno)
     if value < 0:
         raise NegativeValue(f"negative value {value!r}", lineno)
     return value
@@ -172,7 +180,8 @@ def parse_tuples(
     Dictionaries extend as unseen raw values appear. Zero-valued tuples
     are dropped. Under ``on_error="skip"`` bad lines are logged and
     skipped instead of aborting; a time bin below that of an earlier
-    yielded tuple raises ``TimeRegression`` under either policy.
+    yielded tuple raises ``TimeRegression`` under either policy, as a
+    total of yielded values past ``MASS_CEILING`` raises ``IngestError``.
     """
     needed = max(
         (*cfg.mode_cols, cfg.time_col, *cfg.binned_cols),
@@ -183,6 +192,7 @@ def parse_tuples(
     t0 = cfg.t0
     origin = ""  # how an error names a default origin
     last_bin = 0  # highest time bin yielded so far
+    total = 0  # sum of the values yielded so far
     warned_extra = False
     for lineno, raw_line in enumerate(lines, 1):
         if cfg.has_header and lineno == 1:
@@ -233,6 +243,9 @@ def parse_tuples(
                 lineno,
             )
         last_bin = time_bin
+        if value > MASS_CEILING - total:  # no huge int is added to a float
+            raise IngestError(f"values sum past {MASS_CEILING:.3g}, too large", lineno)
+        total += value
         yield Event(tuple(ids), value)
 
 

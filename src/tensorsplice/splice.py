@@ -15,25 +15,25 @@ A donor is read through its splice index, built the first time the block
 is spliced and cached on it: per-mode postings from each id to its entry
 keys in entry order, each key's ordinal, an upper bound ``vmax`` on its
 entry values, and, per set of forced modes, the heaviest sum of the
-entries sharing one id combination on them. A pass with forced modes
-first tries a sub-block with one new id per forced mode. Its entries take
-every other id from the ids both blocks share, so it holds at most one
-entry per combination of those shared ids, and weighs at most ``vmax``
-times their number; when even that cannot pass the test, the pair is
-sterile and comes back without reading an entry. Otherwise the heaviest
-combination decides the same; its sums read the donor at most once per
-set of forced modes until the donor changes. Both bounds are widened
-past float rounding.
+entries sharing one id combination on them. Every pass with forced modes
+tries sub-blocks with one new id per forced mode, and two bounds on the
+heaviest one come first. Its entries take every other id from the ids
+both blocks share, so it holds at most one entry per combination of
+those shared ids, and weighs at most ``vmax`` times their number; when
+even that cannot pass the test, the pass would merge nothing and the
+call ends without reading an entry. Otherwise the heaviest combination
+decides the same; its sums read the donor at most once per set of forced
+modes until the donor changes. Both bounds read the donor block the call
+started from, which holds every entry the shrinking donor still does, and
+are widened past float rounding.
 
 A pass that goes on visits only entries that can survive the shared-id
 filter: those reached through the shared ids of the cheapest free mode,
 or, when every mode overlaps, of the two cheapest modes, since an entry
 with at most one unseen id is shared on one of any two modes. They are
 put back in entry order, so merges and mass sums match a scan of the
-whole donor exactly. With forced modes, one walk sums each
-combination's mass, and a combination's entries are gathered from its
-forced-mode postings only once it passes the test; a pass stops at its
-first failure, so most combinations are never gathered.
+whole donor exactly. With forced modes, one walk collects each
+combination's keys and a candidate merges the keys its walk found.
 
 A productive splice moves each input's index to the block that replaces
 it. Keys that stay, and keys a target gains, only append to the
@@ -97,9 +97,10 @@ class _SpliceIndex:
         self.vmax = max(entries.values())
         self.combo_peaks: dict[tuple, int | float] = {}
 
-    def rules_out_by_shared_ids(self, donor: Block, target: Block, q_modes: tuple) -> bool:
+    def rules_out_by_shared_ids(self, donor: Block, q_modes: tuple, sets, mass, size) -> bool:
         """True when no donor sub-block with one new id on each forced mode
-        can raise ``target``, judged without reading the donor's entries.
+        can raise a target of these id ``sets``, mass and size, judged
+        without reading the donor's entries.
 
         Such a sub-block's entries share their forced-mode ids and, to be
         usable, take every other id from the ids both blocks hold, so it
@@ -107,10 +108,10 @@ class _SpliceIndex:
         weighing at most ``vmax``.
         """
         combos = 1
-        for mode, (mine, theirs) in enumerate(zip(target.index_sets, donor.index_sets)):
+        for mode, (mine, theirs) in enumerate(zip(sets, donor.index_sets)):
             if mode not in q_modes:
                 combos *= len(mine.intersection(theirs))
-        return _fails(self.vmax * combos, donor, q_modes, target.mass, target.size)
+        return _fails(self.vmax * combos, donor, q_modes, mass, size)
 
     def rules_out(self, donor: Block, q_modes: tuple, mass, size) -> bool:
         """True when no donor sub-block with one new id on each forced mode
@@ -307,38 +308,36 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
     by combination, while the merge test passes.
 
     A candidate is the donor entries sharing one id combination on the
-    forced modes whose other ids the target already holds. Their masses
-    are summed in one walk; a candidate's entries are gathered from the
-    postings of its forced-mode ids only once it passes the test. Merges
-    add forced-mode ids only, so the target's other id sets stay fixed
-    for the whole pass and a late gather selects the same entries.
+    forced modes whose other ids the target already holds; one walk
+    collects each candidate's keys in entry order.
     """
     entries = w2.entries
-    postings = w2.index.postings
     free = [(m, w1.sets[m]) for m in range(w1.n) if m not in q_modes]
     combo_of = itemgetter(*q_modes)  # a bare id when one mode is forced
-    masses: dict = {}
-    spread: dict = {}  # values in entry order of the combinations seen twice
+    firsts: dict = {}
+    spread: dict = {}  # keys in entry order of the combinations seen twice
     for key in _reached(w1.sets, w2, [m for m, _ in free], 1):
         for m, seen in free:
             if key[m] not in seen:
                 break
         else:
             combo = combo_of(key)
-            first = masses.get(combo)
+            first = firsts.get(combo)
             if first is None:
-                masses[combo] = entries[key]
+                firsts[combo] = key
             else:
-                values = spread.get(combo)
-                if values is None:
-                    spread[combo] = [first, entries[key]]
+                keys = spread.get(combo)
+                if keys is None:
+                    spread[combo] = [first, key]
                 else:
-                    values.append(entries[key])
-    for combo, values in spread.items():
+                    keys.append(key)
+    heap = []
+    for combo, key in firsts.items():
+        keys = spread.get(combo)
         # sum() as a merge adds the mass up: from 3.12 on it is compensated,
         # so a running + can differ from it.
-        masses[combo] = sum(values)
-    heap = [(-mass, combo) for combo, mass in masses.items()]
+        mass = entries[key] if keys is None else sum([entries[k] for k in keys])
+        heap.append((-mass, combo))
     heapq.heapify(heap)
     merged = False
     while heap:
@@ -351,17 +350,8 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
                 q_now += 1
         if not -neg_mass * w1.size > q_now * w1.mass:
             break
-        mode, idx = min(zip(q_modes, ids), key=lambda pair: len(postings[pair[0]][pair[1]]))
-        candidate = {}
-        for key in postings[mode][idx]:
-            value = entries.get(key)
-            if value is not None and combo_of(key) == combo:
-                for m, seen in free:
-                    if key[m] not in seen:
-                        break
-                else:
-                    candidate[key] = value
-        _merge(w1, w2, candidate, trace)
+        keys = spread.get(combo) or (firsts[combo],)
+        _merge(w1, w2, {key: entries[key] for key in keys}, trace)
         merged = True
     return merged
 
@@ -385,11 +375,13 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
     masses: dict[tuple[int, int], int | float] = {}
 
     def enroll(key, value, bucket_key):
+        # The bucket's id is the key's one unseen id, and it is seen only
+        # once the bucket merges, so no key is enrolled twice.
         bucket = buckets.get(bucket_key)
         if bucket is None:
             buckets[bucket_key] = {key: value}
             masses[bucket_key] = value
-        elif key not in bucket:
+        else:
             bucket[key] = value
             masses[bucket_key] += value
 
@@ -447,17 +439,6 @@ def _forced_modes(sets1, sets2) -> tuple:
     return tuple(m for m in range(len(sets1)) if sets1[m].isdisjoint(sets2[m]))
 
 
-def _splice_workings(w1: _Working, w2: _Working, trace) -> None:
-    while w2.entries:
-        q_modes = _forced_modes(w1.sets, w2.sets)
-        if q_modes:
-            updated = _forced_pass(w1, w2, q_modes, trace)
-        else:
-            updated = _empty_q_drain(w1, w2, trace)
-        if not updated:
-            break
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 
@@ -484,16 +465,18 @@ def splice_pair(
     index = b2._index
     if index is None:
         index = b2._index = _SpliceIndex(b2)
-    q_modes = _forced_modes(b1.index_sets, b2.index_sets)
-    # The first candidate of a pass with forced modes adds exactly one new
-    # id per forced mode; if even the heaviest possible one fails, so
-    # does the pass, and nothing merges.
-    if q_modes and (
-        index.rules_out_by_shared_ids(b2, b1, q_modes)
-        or index.rules_out(b2, q_modes, b1.mass, b1.size)
-    ):
-        return b1, b2
     w1 = _Working(b1, b1._index if b1 is not b2 else None)
     w2 = _Working(b2, index)
-    _splice_workings(w1, w2, trace)
+    while w2.entries:
+        q_modes = _forced_modes(w1.sets, w2.sets)
+        if not q_modes:
+            updated = _empty_q_drain(w1, w2, trace)
+        elif index.rules_out_by_shared_ids(
+            b2, q_modes, w1.sets, w1.mass, w1.size
+        ) or index.rules_out(b2, q_modes, w1.mass, w1.size):
+            break  # even the heaviest candidate fails: the pass merges nothing
+        else:
+            updated = _forced_pass(w1, w2, q_modes, trace)
+        if not updated:
+            break
     return w1.finish(), w2.finish()

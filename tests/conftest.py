@@ -61,6 +61,19 @@ def random_block(
     return Block(n_modes, entries)
 
 
+def union(block: Block, addition: Block) -> Block:
+    """Per-mode id-set union; colliding entry keys sum their values."""
+    if addition.n_modes != block.n_modes:
+        raise ShapeMismatch(
+            f"cannot merge a {addition.n_modes}-mode block into "
+            f"a {block.n_modes}-mode block"
+        )
+    merged = dict(block.entries)
+    for key, value in addition.entries.items():
+        merged[key] = merged.get(key, 0) + value
+    return Block(block.n_modes, merged)
+
+
 def subtract(block: Block, removal: Block) -> Block:
     """Remove the given entries; ids left without support are pruned."""
     if removal.n_modes != block.n_modes:
@@ -302,14 +315,14 @@ def empty_q_step(b1: Block, b2: Block) -> tuple:
     """
     shared = restrict(b2, b1.index_sets)
     if not shared.is_empty:
-        b1, b2 = b1.union_with(shared), subtract(b2, shared)
+        b1, b2 = union(b1, shared), subtract(b2, shared)
     best = max(
         (cand for _, cand in single_new_id_candidates(b1, b2)),
         key=lambda cand: cand.mass,
         default=None,
     )
     if best is not None and best.mass * b1.size > b1.mass:
-        return b1.union_with(best), subtract(b2, best), True
+        return union(b1, best), subtract(b2, best), True
     return b1, b2, False
 
 
@@ -326,7 +339,7 @@ def reference_splice(b1: Block, b2: Block) -> tuple:
             updated = False
             for _, cand in enumerate_candidates(b1, b2, q_modes):
                 if cand.mass * b1.size > new_id_count(cand, b1) * b1.mass:
-                    b1, b2 = b1.union_with(cand), subtract(b2, cand)
+                    b1, b2 = union(b1, cand), subtract(b2, cand)
                     updated = True
                 else:
                     break

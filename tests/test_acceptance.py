@@ -36,6 +36,7 @@ from conftest import (
     family_violations,
     ordered_pair,
     random_block,
+    union,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -61,7 +62,7 @@ def test_criterion_1_splice_condition_equivalence():
             len(extra.index_sets[m] - base.index_sets[m]) for m in range(n_modes)
         )
         g1 = Fraction(base.mass, base.size)
-        merged = base.union_with(extra)
+        merged = union(base, extra)
         rose = Fraction(merged.mass, merged.size) > g1
         assert rose == splice_condition(extra.mass, q, g1), (
             f"equivalence broken for {base.entries} + {extra.entries}"
@@ -244,13 +245,14 @@ def test_criterion_7_scaling_slopes():
 
 
 def _run_cli(args, cwd) -> subprocess.CompletedProcess:
-    from test_cli import subprocess_env
+    from test_cli import TIMEOUT_S, subprocess_env
 
     result = subprocess.run(
         [sys.executable, "-m", "tensorsplice.cli", *args],
         capture_output=True,
         cwd=cwd,
         env=subprocess_env(),
+        timeout=TIMEOUT_S,
     )
     assert result.returncode == 0, result.stderr.decode()
     return result

@@ -13,6 +13,7 @@ from tensorsplice import (
 )
 from conftest import (
     NotASubblock, mk, random_block, recomputed_mass, recomputed_size, subtract,
+    union,
 )
 
 
@@ -25,7 +26,7 @@ class TestMass:
 
     def test_merge_adds(self):
         b = mk({(0, 0, 0): 3, (1, 2, 0): 7})
-        merged = b.union_with(mk({(2, 2, 1): 5}))
+        merged = union(b, mk({(2, 2, 1): 5}))
         assert merged.mass == b.mass + 5
 
 
@@ -60,19 +61,19 @@ class TestUnion:
     def test_disjoint_masses_add(self):
         a = mk({(0, 0, 0): 12})
         b = mk({(1, 1, 1): 5})
-        assert a.union_with(b).mass == 17
+        assert union(a, b).mass == 17
 
     def test_identity_with_empty(self):
         a = mk({(0, 0, 0): 12, (0, 1, 0): 1})
-        assert a.union_with(Block(3)) == a
+        assert union(a, Block(3)) == a
 
     def test_colliding_keys_sum(self):
-        merged = mk({(0, 0, 0): 2}).union_with(mk({(0, 0, 0): 3}))
+        merged = union(mk({(0, 0, 0): 2}), mk({(0, 0, 0): 3}))
         assert merged.entries == {(0, 0, 0): 5}
 
     def test_mode_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            mk({(0, 0, 0): 1}).union_with(Block(4, {(0, 0, 0, 0): 1}))
+            union(mk({(0, 0, 0): 1}), Block(4, {(0, 0, 0, 0): 1}))
 
 
 class TestSubtract:
@@ -125,6 +126,13 @@ class TestSliceAccumulation:
             with pytest.raises(ValueError):
                 s.add(Event((0, 0, 0), value))
 
+    def test_overflowing_sum_rejected(self):
+        s = TensorSlice(3, (0, 1))
+        s.add(Event((0, 0, 0), 1e308))
+        with pytest.raises(ValueError):
+            s.add(Event((0, 0, 0), 1e308))
+        assert s.entries == {(0, 0, 0): 1e308}
+
     def test_to_block_snapshot(self):
         s = TensorSlice(3, (0, 1))
         s.add(Event((1, 2, 0), 4))
@@ -155,7 +163,7 @@ def test_caches_match_recompute_after_random_ops():
     for _ in range(300):
         a = random_block(rng)
         b = random_block(rng)
-        merged = a.union_with(b)
+        merged = union(a, b)
         assert merged.mass == recomputed_mass(merged)
         assert merged.size == recomputed_size(merged)
         back = subtract(merged, b)
@@ -177,7 +185,7 @@ def test_caches_match_recompute_float_values():
         }
         a = Block(3, entries)
         b = random_block(rng)
-        merged = a.union_with(b)
+        merged = union(a, b)
         assert merged.mass == recomputed_mass(merged)
 
 
@@ -191,7 +199,7 @@ def test_union_density_matches_new_id_arithmetic():
         q = sum(
             len(extra.index_sets[m] - base.index_sets[m]) for m in range(3)
         )
-        merged = base.union_with(extra)
+        merged = union(base, extra)
         expected = Fraction(base.mass + extra.mass, base.size + q)
         assert Fraction(merged.mass, merged.size) == expected
 
@@ -203,4 +211,4 @@ def test_subtract_union_round_trip():
         keys = list(block.entries)
         picked = rng.sample(keys, rng.randint(1, len(keys)))
         sub = Block(3, {k: block.entries[k] for k in picked})
-        assert subtract(block, sub).union_with(sub) == block
+        assert union(subtract(block, sub), sub) == block

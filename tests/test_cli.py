@@ -512,6 +512,39 @@ def test_negative_column_is_config_error(capsys):
     assert capsys.readouterr() == ("", "error: column indices cannot be negative\n")
 
 
+@pytest.mark.parametrize(
+    "command, policy",
+    [("run", "abort"), ("run", "skip"), ("oracle", "abort"), ("evaluate", None)],
+    ids=["run", "run-skip", "oracle", "evaluate"],
+)
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("a\tb\t10\t1e308\n" * 2, 1),
+        ("a\tb\t10\t1e308\na\tc\t10\t1e308\nd\tb\t10\t1e308\n", 1),
+        ("a\tb\t10\t1e288\na\tc\t10\t1e288\nd\tb\t10\t1e288\n", 3),
+        ("a\tb\t10\t1.5\na\tc\t10\t1" + "0" * 400 + "\n", 2),
+    ],
+    ids=["one-cell", "three-cells", "finite-sum", "long-int"],
+)
+def test_values_summing_past_the_ceiling_are_input_error(
+    text, lineno, command, policy, tmp_path, capsys
+):
+    # Finite values whose sum overflows once printed "density":Infinity.
+    stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
+    stream.write_text(text)
+    truth.write_text(TRUTH.replace('[["a"]]', '[["a"],["b"]]'))
+    if command == "evaluate":
+        argv = ["evaluate", "--input", str(stream), "--truth", str(truth)]
+    else:
+        argv = [command, "--input", str(stream), "--modes", "0,1", "--time-col", "2",
+                "--value-col", "3", "--stride", "1", "--on-error", policy]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "Infinity" not in out and "NaN" not in out
+    assert err.startswith(f"error: line {lineno}: values sum past ") and err.count("\n") == 1
+
+
 class TestScale:
     def test_report_shape(self, tmp_path):
         out = tmp_path / "scale.json"

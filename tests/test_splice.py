@@ -15,6 +15,7 @@ from tensorsplice import (
     splice_condition,
     splice_pair,
 )
+import tensorsplice.splice
 from tensorsplice.splice import _forced_modes, _SpliceIndex
 from conftest import (
     _ref_bucket_by_combo,
@@ -29,6 +30,7 @@ from conftest import (
     reference_splice,
     reference_splice_pair,
     required_new_modes,
+    union,
 )
 
 
@@ -48,7 +50,7 @@ class TestSpliceCondition:
         extra = mk({(0, 5, 1): 3, (1, 5, 1): 2})  # mass 5, new ids o=5 and t=1
         q = sum(len(extra.index_sets[m] - b1.index_sets[m]) for m in range(3))
         assert q == 2
-        merged = b1.union_with(extra)
+        merged = union(b1, extra)
         assert merged.density == pytest.approx(17 / 8)
         assert splice_condition(extra.mass, q, b1.density) == (
             merged.density > b1.density
@@ -314,7 +316,7 @@ def test_theorem_equivalence_randomized():
         extra = random_block(rng)
         q = sum(len(extra.index_sets[m] - base.index_sets[m]) for m in range(3))
         g1 = Fraction(base.mass, base.size)
-        merged = base.union_with(extra)
+        merged = union(base, extra)
         rose = Fraction(merged.mass, merged.size) > g1
         assert rose == splice_condition(extra.mass, q, g1)
 
@@ -443,7 +445,9 @@ def test_shared_id_bound_never_rejects_a_productive_pair(drawn):
             a, b = ordered_pair(x, y)
             q_modes = _forced_modes(a.index_sets, b.index_sets)
             index = b._index or _SpliceIndex(b)
-            if q_modes and index.rules_out_by_shared_ids(b, a, q_modes):
+            if q_modes and index.rules_out_by_shared_ids(
+                b, q_modes, a.index_sets, a.mass, a.size
+            ):
                 r1, r2 = reference_splice_pair(a, b)
                 assert r1 is a and r2 is b
 
@@ -476,7 +480,9 @@ def test_shared_id_bound_holds_within_rounding_of_the_merge_test(n_modes, data, 
     target = Block(n_modes, dict.fromkeys(keys, share))
     assume(target.mass * donor.size >= donor.mass * target.size)
     assert _forced_modes(target.index_sets, donor.index_sets) == q_modes
-    if _SpliceIndex(donor).rules_out_by_shared_ids(donor, target, q_modes):
+    if _SpliceIndex(donor).rules_out_by_shared_ids(
+        donor, q_modes, target.index_sets, target.mass, target.size
+    ):
         assert not heaviest * target.size > len(q_modes) * target.mass
         r1, r2 = reference_splice_pair(target, donor)
         assert r1 is target and r2 is donor
@@ -554,3 +560,25 @@ def test_bound_widening_covers_a_compensated_candidate_sum():
     want = reference_splice_pair(target, donor)
     assert [exact_view(x) for x in got] == [exact_view(x) for x in want]
     assert (got[0] is target, got[1] is donor) == (want[0] is target, want[1] is donor)
+
+
+@pytest.mark.parametrize("unit", [1, 0.1], ids=["int", "float"])
+def test_bounds_reject_a_later_forced_pass(unit, monkeypatch):
+    # The first pass, forced on time, merges (0, 0, 1). Every mode is then
+    # forced, and the shared-id bound (vmax 10 * size 4 <= 3 * mass 19, in
+    # units) ends the call before a second pass walks the donor.
+    target = Block(3, {(0, 0, 0): 9 * unit})
+    donor = Block(3, {(0, 0, 1): 10 * unit, (5, 5, 2): 1 * unit})
+    passes = []
+    forced_pass = tensorsplice.splice._forced_pass
+
+    def counted(*args):
+        passes.append(args[2])
+        return forced_pass(*args)
+
+    monkeypatch.setattr(tensorsplice.splice, "_forced_pass", counted)
+    got = splice_pair(target, donor)
+    want = reference_splice_pair(target, donor)
+    assert passes == [(2,)]
+    assert [exact_view(x) for x in got] == [exact_view(x) for x in want]
+    assert got[1].entries == {(5, 5, 2): 1 * unit}
