@@ -19,10 +19,8 @@ from .errors import (
 from .ingest import IngestConfig, ModeDictionary, emit_step_output, parse_tuples
 from .splice import splice_condition, splice_pair
 from .synth import (
-    EvalReport,
     InjectedTruth,
     InjectionSpec,
-    ScalingReport,
     generate_stream,
     rerun_scaling_run,
     scaling_run,
@@ -47,10 +45,8 @@ __all__ = [
     "parse_tuples",
     "splice_condition",
     "splice_pair",
-    "EvalReport",
     "InjectedTruth",
     "InjectionSpec",
-    "ScalingReport",
     "generate_stream",
     "rerun_scaling_run",
     "scaling_run",

@@ -73,7 +73,10 @@ class TensorSlice:
         if not 0 < event.value < math.inf:
             raise ValueError("slice entries must have positive finite values")
         key = tuple(event.ids)
-        value = self.entries.get(key, 0) + event.value
+        try:
+            value = self.entries.get(key, 0) + event.value
+        except OverflowError:  # a float met an int too large for a float
+            value = math.inf
         if value == math.inf:
             raise ValueError(f"entry {key!r} accumulates past the largest float")
         self.entries[key] = value
@@ -104,7 +107,10 @@ class Block:
                 raise ValueError(
                     f"entry {key!r} has value {value!r}, not positive and finite"
                 )
-        self._fill(n_modes, entries, None)
+        try:
+            self._fill(n_modes, entries, None)
+        except OverflowError:  # a float met an int too large for a float
+            raise ValueError("entry values sum past the largest float") from None
 
     @classmethod
     def _adopt(cls, n_modes: int, entries: dict, index_sets: list | None = None) -> "Block":

@@ -18,7 +18,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
 from .blocks import Block, Event
@@ -127,9 +127,12 @@ def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
             raise BadTimestamp(f"non-finite timestamp: {raw!r}", lineno)
         return ts
     try:
-        return datetime.fromisoformat(raw).timestamp()
+        parsed = datetime.fromisoformat(raw)
     except ValueError:
         raise BadTimestamp(f"not an ISO-8601 timestamp: {raw!r}", lineno) from None
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)  # no offset reads as UTC
+    return parsed.timestamp()
 
 
 def _time_bin(ts, t0, stride, lineno: int, raw: str, origin: str, binned_col=None) -> int:

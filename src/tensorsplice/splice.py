@@ -13,19 +13,16 @@ repeats until a full pass moves nothing.
 
 A donor is read through its splice index, built the first time the block
 is spliced and cached on it: per-mode postings from each id to its entry
-keys in entry order, each key's ordinal, an upper bound ``vmax`` on its
-entry values, and, per set of forced modes, the heaviest sum of the
-entries sharing one id combination on them. Every pass with forced modes
-tries sub-blocks with one new id per forced mode, and two bounds on the
-heaviest one come first. Its entries take every other id from the ids
-both blocks share, so it holds at most one entry per combination of
-those shared ids, and weighs at most ``vmax`` times their number; when
-even that cannot pass the test, the pass would merge nothing and the
-call ends without reading an entry. Otherwise the heaviest combination
-decides the same; its sums read the donor at most once per set of forced
-modes until the donor changes. Both bounds read the donor block the call
-started from, which holds every entry the shrinking donor still does, and
-are widened past float rounding.
+keys in entry order, each key's ordinal, and an upper bound ``vmax`` on
+its entry values. Every pass with forced modes tries sub-blocks with one
+new id per forced mode, and an entry-free bound on the heaviest one comes
+first. Its entries take every other id from the ids both blocks share, so
+it holds at most one entry per combination of those shared ids, and
+weighs at most ``vmax`` times their number; when even that cannot pass
+the test, the pass would merge nothing and the call ends without reading
+an entry. The bound reads the donor block the call started from, which
+holds every entry the shrinking donor still does, and is widened past
+float rounding.
 
 A pass that goes on visits only entries that can survive the shared-id
 filter: those reached through the shared ids of the cheapest free mode,
@@ -74,11 +71,10 @@ class _SpliceIndex:
     ``postings[m][id]`` lists the keys holding ``id`` on mode ``m`` in
     entry order, as a fresh build would. ``order`` maps keys to ordinals
     that rise with entry order. ``vmax`` is at least the block's largest
-    entry value. ``combo_peaks`` caches, per forced-mode tuple, the
-    heaviest sum of the entries sharing one id combination on those modes.
+    entry value.
     """
 
-    __slots__ = ("order", "next_ordinal", "postings", "vmax", "combo_peaks")
+    __slots__ = ("order", "next_ordinal", "postings", "vmax")
 
     def __init__(self, block: Block):
         entries = block.entries
@@ -95,7 +91,6 @@ class _SpliceIndex:
                     keys.append(key)
             self.postings.append(postings)
         self.vmax = max(entries.values())
-        self.combo_peaks: dict[tuple, int | float] = {}
 
     def rules_out_by_shared_ids(self, donor: Block, q_modes: tuple, sets, mass, size) -> bool:
         """True when no donor sub-block with one new id on each forced mode
@@ -111,20 +106,13 @@ class _SpliceIndex:
         for mode, (mine, theirs) in enumerate(zip(sets, donor.index_sets)):
             if mode not in q_modes:
                 combos *= len(mine.intersection(theirs))
-        return _fails(self.vmax * combos, donor, q_modes, mass, size)
-
-    def rules_out(self, donor: Block, q_modes: tuple, mass, size) -> bool:
-        """True when no donor sub-block with one new id on each forced mode
-        can raise a target of this mass and size."""
-        peak = self.combo_peaks.get(q_modes)
-        if peak is None:
-            combo_of = itemgetter(*q_modes)  # a bare id when one mode is forced
-            sums: dict = {}
-            for key, value in donor.entries.items():
-                combo = combo_of(key)
-                sums[combo] = sums.get(combo, 0) + value
-            peak = self.combo_peaks[q_modes] = max(sums.values())
-        return _fails(peak, donor, q_modes, mass, size)
+        heaviest = self.vmax * combos
+        if not isinstance(donor.mass, int):
+            # Any float sum of at most nnz positive values, in any order,
+            # is within a relative nnz * 2**-53 of the exact sum; widen the
+            # bound past the error of both it and the candidate's own sum.
+            heaviest *= 1 + (donor.nnz + 1) * 2.0**-50
+        return heaviest * size <= len(q_modes) * mass
 
     def update(self, entries: dict, moved: list[dict]) -> None:
         """Re-index after the dicts in ``moved`` were summed into or taken
@@ -160,18 +148,6 @@ class _SpliceIndex:
                 else:
                     del mode_postings[idx]
         self.vmax = vmax
-        self.combo_peaks = {}
-
-
-def _fails(heaviest, donor: Block, q_modes: tuple, mass, size) -> bool:
-    """True when a candidate of mass at most ``heaviest`` that adds one new
-    id per forced mode cannot raise a target of this mass and size."""
-    if not isinstance(donor.mass, int):
-        # Any float sum of at most nnz positive values, in any order,
-        # is within a relative nnz * 2**-53 of the exact sum; widen the
-        # bound past the error of both it and the candidate's own sum.
-        heaviest *= 1 + (donor.nnz + 1) * 2.0**-50
-    return heaviest * size <= len(q_modes) * mass
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +447,7 @@ def splice_pair(
         q_modes = _forced_modes(w1.sets, w2.sets)
         if not q_modes:
             updated = _empty_q_drain(w1, w2, trace)
-        elif index.rules_out_by_shared_ids(
-            b2, q_modes, w1.sets, w1.mass, w1.size
-        ) or index.rules_out(b2, q_modes, w1.mass, w1.size):
+        elif index.rules_out_by_shared_ids(b2, q_modes, w1.sets, w1.mass, w1.size):
             break  # even the heaviest candidate fails: the pass merges nothing
         else:
             updated = _forced_pass(w1, w2, q_modes, trace)

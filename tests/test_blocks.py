@@ -132,6 +132,10 @@ class TestSliceAccumulation:
         with pytest.raises(ValueError):
             s.add(Event((0, 0, 0), 1e308))
         assert s.entries == {(0, 0, 0): 1e308}
+        s.add(Event((1, 1, 1), 1.5))
+        with pytest.raises(ValueError):
+            s.add(Event((1, 1, 1), 10**400))
+        assert s.entries[(1, 1, 1)] == 1.5
 
     def test_to_block_snapshot(self):
         s = TensorSlice(3, (0, 1))
@@ -146,6 +150,8 @@ class TestConstruction:
         for value in (0, -1, math.inf, math.nan):
             with pytest.raises(ValueError):
                 Block(3, {(0, 0, 0): value})
+        with pytest.raises(ValueError):  # a float sum past the largest float
+            Block(3, {(0, 0, 0): 1.5, (1, 1, 1): 10**400})
 
     def test_rejects_bad_key_length(self):
         with pytest.raises(ShapeMismatch):

@@ -428,6 +428,16 @@ class TestEvaluate:
         assert stream.read_bytes() == (DATA / "golden_input.tsv").read_bytes()
         assert truth.read_text() == TRUTH
 
+    def test_empty_input_is_config_error(self, tmp_path, capsys):
+        stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
+        stream.write_text("")
+        truth.write_text(TRUTH)
+        code = main(["evaluate", "--input", str(stream), "--truth", str(truth)])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: input stream is empty, nothing to evaluate\n"
+        )
+
     def test_per_entry_without_cells_is_input_error(self, tmp_path, capsys):
         stream, truth = tmp_path / "s.tsv", tmp_path / "t.json"
         stream.write_text("a\t0\t1\n")

@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 
 import pytest
 
@@ -119,6 +120,19 @@ class TestParsing:
         lines = ["a,b,2024-01-01T00:00:00", "a,b,2024-01-01T01:30:00"]
         events, _ = parse_all(lines, cfg)
         assert [e.ids[-1] for e in events] == [0, 1]
+
+    def test_iso_timestamps_without_offset_read_as_utc(self, monkeypatch):
+        # Read as New York time, the second line would fall on the next UTC day.
+        cfg = csv_cfg(stride=86400, time_format="iso")
+        lines = ["a,b,2024-01-01T00:00:00", "a,c,2024-01-01T22:00:00"]
+        monkeypatch.setenv("TZ", "America/New_York")
+        time.tzset()
+        try:
+            events, _ = parse_all(lines, cfg)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert [e.ids[-1] for e in events] == [0, 0]
 
     def test_float_values_supported(self):
         events, _ = parse_all(["a,b,100,0.5"], csv_cfg(value_col=3))
