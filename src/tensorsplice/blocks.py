@@ -26,13 +26,11 @@ wherever iteration order can leak into output.
 from __future__ import annotations
 
 import itertools
-import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import DegenerateBlock, ShapeMismatch
-
-Key = tuple
 
 _serials = itertools.count()
 
@@ -61,7 +59,7 @@ class TensorSlice:
         if n_modes < 2:
             raise ValueError("a slice needs at least two modes")
         self.n_modes = n_modes
-        self.entries: dict[Key, int | float] = {}
+        self.entries: dict[tuple, int | float] = {}
         self.time_range = time_range
 
     def add(self, event: Event) -> None:
@@ -70,14 +68,11 @@ class TensorSlice:
             raise ShapeMismatch(
                 f"event has {len(event.ids)} ids, slice expects {self.n_modes}"
             )
-        if not 0 < event.value < math.inf:
+        if not 0 < event.value <= sys.float_info.max:
             raise ValueError("slice entries must have positive finite values")
         key = tuple(event.ids)
-        try:
-            value = self.entries.get(key, 0) + event.value
-        except OverflowError:  # a float met an int too large for a float
-            value = math.inf
-        if value == math.inf:
+        value = self.entries.get(key, 0) + event.value
+        if value > sys.float_info.max:
             raise ValueError(f"entry {key!r} accumulates past the largest float")
         self.entries[key] = value
 
@@ -103,7 +98,7 @@ class Block:
                 raise ShapeMismatch(
                     f"entry key {key!r} has {len(key)} ids, expected {n_modes}"
                 )
-            if not 0 < value < math.inf:
+            if not 0 < value <= sys.float_info.max:
                 raise ValueError(
                     f"entry {key!r} has value {value!r}, not positive and finite"
                 )
@@ -111,6 +106,8 @@ class Block:
             self._fill(n_modes, entries, None)
         except OverflowError:  # a float met an int too large for a float
             raise ValueError("entry values sum past the largest float") from None
+        if self.mass > sys.float_info.max:
+            raise ValueError("entry values sum past the largest float")
 
     @classmethod
     def _adopt(cls, n_modes: int, entries: dict, index_sets: list | None = None) -> "Block":

@@ -183,7 +183,7 @@ def iter_rerun_outputs(
 ) -> Iterator[StepOutput]:
     """Re-detect on the full accumulated tensor at every stride."""
     accumulated = None
-    for step_index, slice_ in enumerate(bin_slices(events)):
+    for slice_ in bin_slices(events):
         if accumulated is None:
             accumulated = TensorSlice(slice_.n_modes, (0, 1))
         # Keys never collide across bins, because time is the last mode,
@@ -193,7 +193,6 @@ def iter_rerun_outputs(
         found = detect_top_blocks(accumulated, cfg.pool_size) if accumulated.nnz else []
         elapsed = time.perf_counter() - begun
         yield StepOutput(
-            step_index=step_index,
             time_range=slice_.time_range,
             top_k=found[: cfg.k],
             timing={"detect": elapsed, "splice": 0.0},

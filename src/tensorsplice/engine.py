@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 from .blocks import Block, Event, TensorSlice
 from .detect import detect_top_blocks
 from .errors import ConfigError, OutOfOrderSlice, TimeRegression
-from .splice import splice_pair
+from .splice import _denser_first, splice_pair
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class EngineState:
 class StepOutput:
     """What one step reports: the top blocks and how long the phases took."""
 
-    step_index: int
     time_range: tuple[int, int]
     top_k: list[Block]
     timing: dict[str, float]
@@ -86,11 +85,6 @@ def _order_key(block: Block):
         block.size,
         tuple(tuple(block.sorted_ids(m)) for m in range(block.n_modes)),
     )
-
-
-def _denser_first(a: Block, b: Block) -> bool:
-    """True when a qualifies as the splice target against b (exact compare)."""
-    return a.mass * b.size >= b.mass * a.size
 
 
 def step(
@@ -140,7 +134,6 @@ def step(
     retained = pool[: cfg.pool_size]
     kept = {block.serial for block in retained}
     output = StepOutput(
-        step_index=state.frontier,
         time_range=expected,
         top_k=retained[: cfg.k],
         timing={

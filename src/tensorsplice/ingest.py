@@ -79,10 +79,6 @@ class IngestConfig:
         if self.on_error not in ("abort", "skip"):
             raise ConfigError(f"unknown error policy {self.on_error!r}")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.mode_cols) + len(self.binned_cols) + 1
-
 
 class ModeDictionary:
     """Raw-label <-> dense-id maps for the categorical modes, which come
@@ -112,9 +108,6 @@ class ModeDictionary:
 
     def decode(self, mode: int, idx: int) -> str | int:
         return self._to_raw[mode][idx] if mode < len(self._to_raw) else idx
-
-    def size(self, mode: int) -> int:
-        return len(self._to_raw[mode])
 
 
 def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
@@ -278,7 +271,7 @@ def emit_step_output(out: StepOutput, dicts: ModeDictionary) -> str:
     """Serialize one step as a single JSON line, byte-stable across runs."""
     obj = {
         "schema": SCHEMA_VERSION,
-        "step": out.step_index,
+        "step": out.time_range[0],
         "time_range": list(out.time_range),
         "blocks": [block_payload(block, dicts) for block in out.top_k],
     }

@@ -55,10 +55,15 @@ from .blocks import Block
 from .errors import DegenerateBlock, PreconditionViolated, ShapeMismatch
 
 
-def splice_condition(candidate_mass, q_total, g1) -> bool:
+def splice_condition(candidate_mass, q_total, mass, size) -> bool:
     """True when merging mass ``candidate_mass`` that brings ``q_total``
-    new ids into a block of density ``g1`` strictly raises that density."""
-    return candidate_mass > q_total * g1
+    new ids into a block of this ``mass`` and ``size`` strictly raises its density."""
+    return candidate_mass * size > q_total * mass
+
+
+def _denser_first(a: Block, b: Block) -> bool:
+    """True when a qualifies as the splice target against b (exact compare)."""
+    return a.mass * b.size >= b.mass * a.size
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +117,7 @@ class _SpliceIndex:
             # is within a relative nnz * 2**-53 of the exact sum; widen the
             # bound past the error of both it and the candidate's own sum.
             heaviest *= 1 + (donor.nnz + 1) * 2.0**-50
-        return heaviest * size <= len(q_modes) * mass
+        return not splice_condition(heaviest, len(q_modes), mass, size)
 
     def update(self, entries: dict, moved: list[dict]) -> None:
         """Re-index after the dicts in ``moved`` were summed into or taken
@@ -324,7 +329,7 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
         for m, idx in zip(q_modes, ids):
             if idx not in w1.sets[m]:
                 q_now += 1
-        if not -neg_mass * w1.size > q_now * w1.mass:
+        if not splice_condition(-neg_mass, q_now, w1.mass, w1.size):
             break
         keys = spread.get(combo) or (firsts[combo],)
         _merge(w1, w2, {key: entries[key] for key in keys}, trace)
@@ -390,7 +395,7 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
         current = masses.get(bucket_key)
         if current is None or -neg_mass != current:
             continue  # merged away or superseded by a grown mass
-        if current * w1.size <= w1.mass:  # single new id: q is 1
+        if not splice_condition(current, 1, w1.mass, w1.size):  # one new id
             break
         entries = buckets.pop(bucket_key)
         del masses[bucket_key]
@@ -436,7 +441,7 @@ def splice_pair(
         return b1, b2
     if b1.is_empty:
         raise DegenerateBlock("splice target is empty")
-    if b1.mass * b2.size < b2.mass * b1.size:
+    if not _denser_first(b1, b2):
         raise PreconditionViolated("splice target must be at least as dense as donor")
     index = b2._index
     if index is None:

@@ -293,8 +293,6 @@ _T95 = {
 
 
 def _t95(df: int) -> float:
-    if df <= 0:
-        return float("inf")
     for bound in sorted(_T95):
         if df <= bound:
             return _T95[bound]

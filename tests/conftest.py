@@ -24,8 +24,8 @@ if str(SRC) not in sys.path:  # allow running the suite without installing
 
 from tensorsplice import Block, ShapeMismatch, TensorSpliceError  # noqa: E402
 from tensorsplice.detect import detect_top_blocks  # noqa: E402
-from tensorsplice.engine import _denser_first, _order_key  # noqa: E402
-from tensorsplice.splice import splice_pair  # noqa: E402
+from tensorsplice.engine import _order_key  # noqa: E402
+from tensorsplice.splice import _denser_first, splice_pair  # noqa: E402
 
 # HYPOTHESIS_PROFILE=ci runs the property tests with ten times their
 # examples; without it, every test keeps the count it names.

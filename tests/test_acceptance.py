@@ -64,7 +64,7 @@ def test_criterion_1_splice_condition_equivalence():
         g1 = Fraction(base.mass, base.size)
         merged = union(base, extra)
         rose = Fraction(merged.mass, merged.size) > g1
-        assert rose == splice_condition(extra.mass, q, g1), (
+        assert rose == splice_condition(extra.mass, q, base.mass, base.size), (
             f"equivalence broken for {base.entries} + {extra.entries}"
         )
         checked += 1

@@ -136,6 +136,9 @@ class TestSliceAccumulation:
         with pytest.raises(ValueError):
             s.add(Event((1, 1, 1), 10**400))
         assert s.entries[(1, 1, 1)] == 1.5
+        with pytest.raises(ValueError):  # an int too large for a float, on a new key
+            s.add(Event((2, 2, 2), 10**400))
+        assert (2, 2, 2) not in s.entries
 
     def test_to_block_snapshot(self):
         s = TensorSlice(3, (0, 1))
@@ -147,10 +150,15 @@ class TestSliceAccumulation:
 
 class TestConstruction:
     def test_rejects_nonpositive_values(self):
-        for value in (0, -1, math.inf, math.nan):
+        for value in (0, -1, math.inf, math.nan, 10**400):
             with pytest.raises(ValueError):
                 Block(3, {(0, 0, 0): value})
-        with pytest.raises(ValueError):  # a float sum past the largest float
+        for big in (1e308, 10**308):  # a float sum, or an int sum, past the largest float
+            with pytest.raises(ValueError):
+                Block(3, {(0, 0, 0): big, (1, 1, 1): big})
+        with pytest.raises(ValueError):  # an int sum past the largest float meets a float
+            Block(3, {(0, 0, 0): 10**308, (1, 1, 1): 10**308, (2, 2, 2): 1.5})
+        with pytest.raises(ValueError):  # a value too large for a float
             Block(3, {(0, 0, 0): 1.5, (1, 1, 1): 10**400})
 
     def test_rejects_bad_key_length(self):

@@ -53,7 +53,7 @@ class TestStep:
         expected = detect_top_blocks(slice_for(0, entries), 5)
         assert state.retained == expected
         assert out.top_k == expected[: CFG.k]
-        assert state.frontier == 1 and out.step_index == 0
+        assert state.frontier == 1 and out.time_range == (0, 1)
 
     def test_rejects_wrong_window(self):
         state = EngineState()
@@ -153,7 +153,6 @@ class TestRunStream:
         events = [Event((0, 0, 0), 2), Event((0, 1, 0), 1), Event((1, 1, 1), 3)]
         for consume in STREAM_CONSUMERS:
             outputs = list(consume(events, CFG))
-            assert [o.step_index for o in outputs] == [0, 1], consume.__name__
             assert [o.time_range for o in outputs] == [(0, 1), (1, 2)], consume.__name__
 
     def test_gap_bin_emits_unchanged_output(self):

@@ -35,14 +35,15 @@ from conftest import (
 
 class TestSpliceCondition:
     def test_profitable(self):
-        assert splice_condition(5, 2, 2.0)
+        assert splice_condition(5, 2, 4, 2)
 
     def test_boundary_is_not_profitable(self):
         # Exactly q * density keeps the ratio unchanged, so no merge.
-        assert not splice_condition(4, 2, 2.0)
+        assert not splice_condition(4, 2, 4, 2)
+        assert not splice_condition(2**53 + 1, 1, 2**53 + 1, 1)
 
     def test_no_new_ids_any_positive_mass_wins(self):
-        assert splice_condition(1, 0, 123.0)
+        assert splice_condition(1, 0, 123, 1)
 
     def test_matches_actual_density_rise(self):
         b1 = mk({(0, 0, 0): 4, (1, 1, 0): 4, (2, 0, 0): 4})  # mass 12, size 6
@@ -51,7 +52,7 @@ class TestSpliceCondition:
         assert q == 2
         merged = union(b1, extra)
         assert merged.density == pytest.approx(17 / 8)
-        assert splice_condition(extra.mass, q, b1.density) == (
+        assert splice_condition(extra.mass, q, b1.mass, b1.size) == (
             merged.density > b1.density
         )
 
@@ -317,7 +318,7 @@ def test_theorem_equivalence_randomized():
         g1 = Fraction(base.mass, base.size)
         merged = union(base, extra)
         rose = Fraction(merged.mass, merged.size) > g1
-        assert rose == splice_condition(extra.mass, q, g1)
+        assert rose == splice_condition(extra.mass, q, base.mass, base.size)
 
 
 # ---------------------------------------------------------------------------

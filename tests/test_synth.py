@@ -161,7 +161,7 @@ class TestScore:
         return dicts, truth
 
     def _output(self, blocks):
-        return StepOutput(0, (0, 1), blocks, {})
+        return StepOutput((0, 1), blocks, {})
 
     def test_exact_match(self):
         dicts, truth = self._setup()
