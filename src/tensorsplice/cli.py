@@ -12,10 +12,10 @@ Subcommands:
 Exit codes: 0 on success, 1 when stdout is closed before all output is
 written (quietly, for ``| head``), 2 when the input is bad (a malformed or
 non-finite field, a timestamp out of order, bytes that are not UTF-8),
-3 on configuration errors, including a file that cannot be opened and an
-output path that names the command's input (``run``, ``oracle``,
-``evaluate``) or its other output (``generate``), which is refused before
-any file is written.
+3 on configuration errors, including a file that cannot be opened or
+written and an output path that names the command's input (``run``,
+``oracle``, ``evaluate``) or its other output (``generate``), which is
+refused before any file is written.
 Detection output never contains wall-clock numbers, so a fixed input and
 seed reproduce byte-identical files; timings go to stderr.
 """
@@ -28,11 +28,11 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
-from .blocks import Event, TensorSlice
-from .detect import detect_top_blocks
-from .engine import EngineConfig, StepOutput, bin_slices, run_stream
+from .blocks import Event
+from .detect import detect_top_blocks  # noqa: F401  bench/tracer.py wraps this attribute
+from .engine import EngineConfig, iter_rerun_outputs, run_stream
 from .errors import ConfigError, IngestError, TensorSpliceError
 from .ingest import (
     SCHEMA_VERSION,
@@ -176,29 +176,6 @@ def _read_events(
                 yield event
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path}: input is not UTF-8 text ({exc.reason})") from None
-
-
-def iter_rerun_outputs(
-    events: Iterable[Event], cfg: EngineConfig
-) -> Iterator[StepOutput]:
-    """Re-detect on the full accumulated tensor at every stride."""
-    accumulated = None
-    for slice_ in bin_slices(events):
-        if accumulated is None:
-            accumulated = TensorSlice(slice_.n_modes, (0, 1))
-        # Keys never collide across bins, because time is the last mode,
-        # and detection reads only the entries.
-        accumulated.entries.update(slice_.entries)
-        begun = time.perf_counter()
-        found = detect_top_blocks(accumulated, cfg.pool_size) if accumulated.nnz else []
-        elapsed = time.perf_counter() - begun
-        yield StepOutput(
-            time_range=slice_.time_range,
-            top_k=found[: cfg.k],
-            timing={"detect": elapsed, "splice": 0.0},
-        )
-        # The next detect, on a larger tensor, runs without these blocks.
-        del found
 
 
 def cmd_stream(args) -> int:
@@ -408,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ConfigError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TensorSpliceError as exc:

@@ -1,4 +1,5 @@
-"""The per-stride tracking loop.
+"""The two stream drivers, both fed by ``bin_slices``: the tracking loop
+(``run_stream``) and the re-detection baseline (``iter_rerun_outputs``).
 
 Each step detects seed blocks in the incoming slice, pools them with the
 blocks retained from earlier strides, and runs pairwise splicing sweeps
@@ -182,3 +183,26 @@ def run_stream(events: Iterable[Event], cfg: EngineConfig) -> Iterator[StepOutpu
     for slice_ in bin_slices(events):
         state, output = step(state, slice_, cfg)
         yield output
+
+
+def iter_rerun_outputs(
+    events: Iterable[Event], cfg: EngineConfig
+) -> Iterator[StepOutput]:
+    """Re-detect on the full accumulated tensor at every stride."""
+    accumulated = None
+    for slice_ in bin_slices(events):
+        if accumulated is None:
+            accumulated = TensorSlice(slice_.n_modes, (0, 1))
+        # Keys never collide across bins, because time is the last mode,
+        # and detection reads only the entries.
+        accumulated.entries.update(slice_.entries)
+        begun = time.perf_counter()
+        found = detect_top_blocks(accumulated, cfg.pool_size) if accumulated.nnz else []
+        elapsed = time.perf_counter() - begun
+        yield StepOutput(
+            time_range=slice_.time_range,
+            top_k=found[: cfg.k],
+            timing={"detect": elapsed, "splice": 0.0},
+        )
+        # The next detect, on a larger tensor, runs without these blocks.
+        del found

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .blocks import Event, TensorSlice
-from .engine import EngineConfig, EngineState, StepOutput, step
+from .blocks import Event
+from .engine import EngineConfig, StepOutput, iter_rerun_outputs, run_stream
 from .errors import DensityInfeasible, IngestError
 from .ingest import SCHEMA_VERSION, ModeDictionary
-from .detect import detect_top_blocks
 
 _PREFIXES = ("u", "i", "a", "b", "c", "d")
 
@@ -293,10 +291,8 @@ _T95 = {
 
 
 def _t95(df: int) -> float:
-    for bound in sorted(_T95):
-        if df <= bound:
-            return _T95[bound]
-    return 1.96
+    # Rounding df down to a tabulated one keeps the interval conservative.
+    return _T95[max(bound for bound in _T95 if bound <= df)]
 
 
 def fit_loglog(points: Sequence[tuple[float, float]]) -> ScalingReport:
@@ -313,7 +309,7 @@ def fit_loglog(points: Sequence[tuple[float, float]]) -> ScalingReport:
     slope = sxy / sxx
     intercept = my - slope * mx
     sse = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    se = math.sqrt(max(sse, 0.0) / (n - 2) / sxx) if n > 2 else 0.0
+    se = math.sqrt(max(sse, 0.0) / (n - 2) / sxx)
     width = _t95(n - 2) * se
     return ScalingReport(
         slope=slope,
@@ -323,31 +319,12 @@ def fit_loglog(points: Sequence[tuple[float, float]]) -> ScalingReport:
     )
 
 
-def _random_slice(
+def _random_events(
     nnz: int, shape: tuple[int, ...], bin_: int, rng: random.Random,
     id_offset: int = 0,
-) -> TensorSlice:
-    slice_ = TensorSlice(len(shape) + 1, (bin_, bin_ + 1))
+) -> Iterator[Event]:
     for _ in range(nnz):
-        ids = tuple(id_offset + rng.randrange(card) for card in shape) + (bin_,)
-        slice_.add(Event(ids, 1))
-    return slice_
-
-
-def _default_step_timer(cfg: EngineConfig, seed: int, repeats: int) -> Callable[[int], float]:
-    def run(nnz: int) -> float:
-        # Id ranges scale with the slice so sparsity stays comparable
-        # across sizes.
-        shape = (max(nnz // 2, 4), max(nnz // 4, 4))
-        best = float("inf")
-        for rep in range(repeats):
-            rng = random.Random(seed * 1_000_003 + nnz * 31 + rep)
-            slice_ = _random_slice(nnz, shape, 0, rng)
-            _, out = step(EngineState(), slice_, cfg)
-            best = min(best, out.timing["detect"] + out.timing["splice"])
-        return best
-
-    return run
+        yield Event(tuple(id_offset + rng.randrange(card) for card in shape) + (bin_,))
 
 
 def scaling_run(
@@ -359,17 +336,27 @@ def scaling_run(
 ) -> ScalingReport:
     """Per-step engine cost against slice nnz, as a fitted log-log slope.
 
-    ``timer`` maps an nnz target to measured seconds; the default builds
-    a uniform random slice of that many entries and times one engine
-    step on it (best of ``repeats``).
+    ``timer`` maps an nnz target to measured seconds; the default feeds
+    that many uniform random events to ``run_stream`` and reads the
+    detect and splice time of its one step (best of ``repeats``).
     """
     if len(sizes) < 4:
         raise ValueError("need at least 4 sizes")
-    if max(sizes) < 16 * min(sizes):
-        raise ValueError("sizes must span at least a 16x range")
+    if min(sizes) < 1 or max(sizes) < 16 * min(sizes):
+        raise ValueError("sizes must be positive and span at least a 16x range")
     if timer is None:
         cfg = cfg or EngineConfig(k=3, l=2)
-        timer = _default_step_timer(cfg, seed, repeats)
+
+        def timer(nnz: int) -> float:
+            # Id ranges scale with the slice so sparsity stays comparable
+            # across sizes.
+            shape = (max(nnz // 2, 4), max(nnz // 4, 4))
+            best = float("inf")
+            for rep in range(repeats):
+                rng = random.Random(seed * 1_000_003 + nnz * 31 + rep)
+                out = next(run_stream(_random_events(nnz, shape, 0, rng), cfg))
+                best = min(best, out.timing["detect"] + out.timing["splice"])
+            return best
     points = [(size, timer(size)) for size in sizes]
     return fit_loglog(points)
 
@@ -382,27 +369,25 @@ def rerun_scaling_run(
 ) -> ScalingReport:
     """Cumulative cost of the from-scratch re-run baseline.
 
-    Feeds constant-size slices whose id ranges augment per stride, as a
-    streaming tensor's modes do, and re-detects on the full accumulated
-    tensor at every step; returns the slope of cumulative seconds against
-    cumulative nnz. Re-running over all history makes this superlinear.
+    Feeds constant-size bins of random events, whose id ranges augment
+    per stride as a streaming tensor's modes do, to ``oracle``'s driver
+    ``iter_rerun_outputs``; returns the slope of its cumulative detect
+    seconds against cumulative nnz. Re-running over all history makes
+    this superlinear.
     """
     if n_steps < 4:
         raise ValueError("need at least 4 steps")
     cfg = cfg or EngineConfig(k=3, l=2)
     shape = (max(slice_nnz // 2, 4), max(slice_nnz // 4, 4))
     rng = random.Random(seed)
-    accumulated = TensorSlice(len(shape) + 1, (0, n_steps))
+    events = (
+        event
+        for b in range(n_steps)
+        for event in _random_events(slice_nnz, shape, b, rng, id_offset=b * shape[0])
+    )
     points = []
     total_time = 0.0
-    total_nnz = 0
-    for b in range(n_steps):
-        # Keys never collide across bins, because time is the last mode.
-        slice_ = _random_slice(slice_nnz, shape, b, rng, id_offset=b * shape[0])
-        accumulated.entries.update(slice_.entries)
-        total_nnz += slice_nnz
-        started = time.perf_counter()
-        detect_top_blocks(accumulated, cfg.pool_size)
-        total_time += time.perf_counter() - started
-        points.append((total_nnz, total_time))
+    for b, output in enumerate(iter_rerun_outputs(events, cfg), 1):
+        total_time += output.timing["detect"]
+        points.append((b * slice_nnz, total_time))
     return fit_loglog(points)

@@ -74,11 +74,20 @@ class TestRun:
         assert capsys.readouterr() == ("", f"error: --output {output} is the --input file\n")
         assert stream.read_bytes() == (DATA / "golden_input.tsv").read_bytes()
 
-    @pytest.mark.parametrize("cause", ["directory", "permission"])
+    @pytest.mark.parametrize(
+        "cause", ["directory", "permission", "not-a-directory", "name-too-long"]
+    )
     def test_unopenable_input_is_config_error(self, cause, tmp_path, capsys, monkeypatch):
         path = tmp_path / "in.tsv"
+        errno = {"directory": 21, "permission": 13, "not-a-directory": 20,
+                 "name-too-long": 36}[cause]
         if cause == "directory":
             path.mkdir()
+        elif cause == "not-a-directory":
+            path.write_text("")
+            path = path / "x"
+        elif cause == "name-too-long":
+            path = tmp_path / ("x" * 300)
         else:
             # A mode change cannot deny a superuser, so refuse the open itself.
             def refuse(file, *args, **kwargs):
@@ -87,7 +96,7 @@ class TestRun:
             monkeypatch.setattr(tensorsplice.cli, "open", refuse, raising=False)
         code = main(["run", "--input", str(path), *RUN_FLAGS])
         assert code == 3
-        assert f"error: [Errno {21 if cause == 'directory' else 13}]" in capsys.readouterr().err
+        assert f"error: [Errno {errno}]" in capsys.readouterr().err
 
     def test_non_utf8_input_is_ingest_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.tsv"
@@ -216,6 +225,7 @@ class TestOracle:
             assert obj["time_range"] == [step, step + 1]
             for block in obj["blocks"]:
                 assert list(block) == ["density", "mass", "size", "modes"]
+        assert out.read_bytes() == (DATA / "golden_oracle.jsonl").read_bytes()
 
     def test_oracle_density_weakly_grows_on_accumulating_block(self, tmp_path):
         out = tmp_path / "oracle.jsonl"

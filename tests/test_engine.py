@@ -17,7 +17,7 @@ from tensorsplice import (
     run_stream,
     step,
 )
-from tensorsplice.cli import iter_rerun_outputs
+from tensorsplice.engine import iter_rerun_outputs
 from conftest import (
     examples,
     family_violations,

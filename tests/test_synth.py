@@ -16,7 +16,7 @@ from tensorsplice import (
     scaling_run,
     score,
 )
-from tensorsplice.synth import InjectedTruth, fit_loglog
+from tensorsplice.synth import InjectedTruth, _t95, fit_loglog
 
 
 def tiny_spec(**overrides) -> InjectionSpec:
@@ -234,6 +234,8 @@ class TestScaling:
             scaling_run((100, 200, 400, 800), timer=lambda nnz: 1.0)
         with pytest.raises(ValueError):
             scaling_run((100, 200, 1600), timer=lambda nnz: 1.0)
+        with pytest.raises(ValueError):
+            scaling_run((0, 100, 200, 1600))
 
     def test_fit_requires_three_points(self):
         with pytest.raises(ValueError):
@@ -245,3 +247,7 @@ class TestScaling:
         assert report.ci_low < report.slope < report.ci_high
         assert report.slope == pytest.approx(1.0, abs=0.15)
         assert math.isfinite(report.ci_low)
+
+    @pytest.mark.parametrize("df, t", [(11, 2.201), (25, 2.060), (40, 2.021)])
+    def test_untabulated_df_never_narrows_the_interval(self, df, t):
+        assert _t95(df) >= t
