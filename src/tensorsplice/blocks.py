@@ -9,9 +9,10 @@ all times:
 * ``mass`` is the sum of entry values,
 * ``size`` is the summed cardinality of the per-mode id sets,
 
-and ``density`` is their ratio. The mass cache is always computed from the
-entry dict the block holds, so recomputing it later from the same dict
-reproduces the cache bit for bit, including for float values.
+and ``density`` is their ratio. Every mass, here and in the detector and
+splicer, is added up by ``running_sum``, so recomputing a block's mass
+from its entry dict reproduces the cache bit for bit, including for float
+values, on every supported Python.
 
 Blocks behave as values: operations return new instances, and a block's
 entries, id sets and mass never change after construction. Each block also
@@ -28,11 +29,27 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 
 from .errors import DegenerateBlock, ShapeMismatch
 
 _serials = itertools.count()
+
+
+def running_sum(values):
+    """The left-to-right running sum of ``values``: the one rule by which
+    every block mass is added up.
+
+    A float total has the bits of ``reduce(operator.add, values, 0)`` on
+    every Python, although ``sum()`` compensates floats from 3.12 on; it
+    reads ``values`` twice, so pass a collection. An int total is exact in
+    any order, so ``sum()``'s is returned as it is.
+    """
+    total = sum(values)
+    if type(total) is int:
+        return total
+    return reduce(add, values, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +140,7 @@ class Block:
         self.n_modes = n_modes
         self.entries = entries
         self.index_sets = index_sets
-        self.mass = sum(entries.values())
+        self.mass = running_sum(entries.values())
         self.serial = next(_serials)
         self._index = None
 

@@ -77,7 +77,7 @@ def number(text: str) -> int | float:
 
 
 def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="tuple file, one per line")
+    p.add_argument("--input", required=True, help="tuple file, one per line; - reads stdin")
     p.add_argument("--modes", default="0,1",
                    help="comma-separated categorical column indices (default 0,1)")
     p.add_argument("--time-col", type=int, default=2,
@@ -126,20 +126,25 @@ def _engine_config(args) -> EngineConfig:
     return EngineConfig(k=args.k, l=args.l, max_epochs=args.max_epochs)
 
 
-def _same_file(a: str, b: str) -> bool:
-    """True when paths ``a`` and ``b`` name one file, also through a link;
-    paths to files that do not exist yet are compared resolved."""
+def _same_file(a: str | int, b: str) -> bool:
+    """True when ``a``, a path or an open file descriptor, and path ``b``
+    name one file, also through a link; paths to files that do not exist
+    yet are compared resolved."""
     try:
         return os.path.samefile(a, b)
     except OSError:
-        return os.path.realpath(a) == os.path.realpath(b)
+        return not isinstance(a, int) and os.path.realpath(a) == os.path.realpath(b)
 
 
 def _refuse_overwrite(args, *inputs: str) -> None:
     """Refuse an ``--output`` that names one of the ``inputs`` (flag names
-    without the dashes), also through a link, before anything is written."""
+    without the dashes), also through a link, before anything is written.
+    ``--input -`` is stdin, compared by the file it has open, not by name."""
     for name in inputs:
-        if args.output and _same_file(getattr(args, name), args.output):
+        path = getattr(args, name)
+        if name == "input" and path == "-":
+            path = 0
+        if args.output and _same_file(path, args.output):
             raise ConfigError(f"--output {args.output} is the --{name} file")
 
 
@@ -164,18 +169,23 @@ def _write_json(path: str | None, payload: dict) -> None:
 def _read_events(
     path: str, cfg: IngestConfig, dicts: ModeDictionary, counts: dict
 ) -> Iterator[Event]:
-    """Events parsed from a tuple file, counted into ``counts["nnz"]``.
+    """Events parsed from a tuple file, or from stdin when ``path`` is
+    ``-``, counted into ``counts["nnz"]``.
 
-    Bytes that are not UTF-8 end the read as an ingest error naming the
-    file; the text layer decodes in chunks, so no line number is known.
+    Input is read as UTF-8 whatever the locale. Bytes that are not UTF-8
+    end the read as an ingest error naming the file; the text layer
+    decodes in chunks, so no line number is known.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    stdin = path == "-"
+    # File descriptor 0, not sys.stdin, so the locale cannot pick the codec.
+    with open(0 if stdin else path, "r", encoding="utf-8", closefd=not stdin) as handle:
         try:
             for event in parse_tuples(handle, cfg, dicts):
                 counts["nnz"] += 1
                 yield event
         except UnicodeDecodeError as exc:
-            raise IngestError(f"{path}: input is not UTF-8 text ({exc.reason})") from None
+            name = "stdin" if stdin else path
+            raise IngestError(f"{name}: input is not UTF-8 text ({exc.reason})") from None
 
 
 def cmd_stream(args) -> int:
@@ -194,6 +204,8 @@ def cmd_stream(args) -> int:
         for output in outputs_of(events, engine_cfg):
             out.write(emit_step_output(output, dicts))
             out.write("\n")
+            if out is sys.stdout:
+                out.flush()  # a reader at the other end of a pipe sees each stride
             steps += 1
             detect_s += output.timing["detect"]
             splice_s += output.timing["splice"]
@@ -347,7 +359,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="run the engine on a generated stream "
                                         "and score against its truth")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, help="generated stream; - reads stdin")
     p.add_argument("--truth", required=True)
     _add_engine_flags(p, k_default=1)
     p.add_argument("--per-entry", action="store_true",

@@ -27,8 +27,9 @@ compacted, its count and mass recomputed from its remaining entries, and
 one fresh heap record.
 
 The result is exactly that of indexing the remainder from scratch before
-every run. Postings keep entry order, and a gid's mass is summed over its
-entries in that order, so float masses match bit for bit.
+every run. Postings keep entry order, and a gid's mass is added up over
+its entries in that order by the one summation rule, ``running_sum`` in
+``blocks.py``, so float masses match bit for bit.
 
 Inside a run, a removed entry lowers the mass of its gid in every other
 mode, but only marks that gid dirty; the next pick pushes one record per
@@ -58,8 +59,8 @@ so they have a largest one, U. The first id of U that an order drops
 weighs exactly the average, so the state it is dropped from holds U and is
 as dense as E: it is U, and a bulk round never passes U mid-way. Every
 order thus checks U first among the states as dense as E, and keeps the
-same best state. Float sums round differently in each order, so there
-the stop is needed; ``tests/test_detect.py`` pins such a case.
+same best state. A float running sum rounds differently in each order,
+so there the stop is needed; ``tests/test_detect.py`` pins such a case.
 """
 
 from __future__ import annotations
@@ -68,18 +69,18 @@ import heapq
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import itemgetter
 
-from .blocks import Block, TensorSlice
+from .blocks import Block, TensorSlice, running_sum
 from .errors import ConfigError
 
 
 class PeelIndex:
     """The remaining tensor of one detect call, indexed for peeling.
 
-    Entry ``e`` has key ``keys[e]``, value ``values[e]`` and gid
-    ``ids[mode][e]`` in each mode; mode ``m`` owns the gids from
+    Entry ``e`` has key ``keys[e]``, value ``values[e]`` (0 once removed)
+    and gid ``ids[mode][e]`` in each mode; mode ``m`` owns the gids from
     ``starts[m]`` up to ``starts[m + 1]``. ``number`` maps each live key to
     its entry number, and ``alive[e]`` is set while entry ``e`` is live. A
     gid ``g`` is live while its mass is not ``None``, and its live entries,
@@ -129,6 +130,7 @@ class PeelIndex:
         gone = [number.pop(key) for key in block.entries]
         for e in gone:
             alive[e] = 0
+            values[e] = 0  # so running_sum(values) is the live total
         for g in {ids[e] for ids in self.ids for e in gone}:
             start = offsets[g]
             live = [e for e in postings[start:start + counts[g]] if alive[e]]
@@ -137,10 +139,7 @@ class PeelIndex:
             if not live:
                 masses[g] = None
                 continue
-            mass = 0
-            for e in live:
-                mass = mass + values[e]
-            masses[g] = mass
+            masses[g] = mass = running_sum([values[e] for e in live])
             heapq.heappush(self.heap, (mass, g))
 
 
@@ -165,7 +164,7 @@ def peel_once(working: PeelIndex) -> Block:
     others = [working.ids[:mode] + working.ids[mode + 1:] for mode in range(working.n_modes)]
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    total = sum(compress(values, alive))
+    total = running_sum(values)
     size = len(masses) - masses.count(None)
     best_mass, best_size, best_cut = total, size, 0
     removal_log: list[int] = []

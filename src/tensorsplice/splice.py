@@ -28,9 +28,11 @@ A pass that goes on visits only entries that can survive the shared-id
 filter: those reached through the shared ids of the cheapest free mode,
 or, when every mode overlaps, of the two cheapest modes, since an entry
 with at most one unseen id is shared on one of any two modes. They are
-put back in entry order, so merges and mass sums match a scan of the
-whole donor exactly. With forced modes, one walk collects each
-combination's keys and a candidate merges the keys its walk found.
+put back in entry order, and every mass is added up in that order by the
+one summation rule, ``running_sum`` in ``blocks.py``, so merges and masses
+match a scan of the whole donor exactly. With forced modes, one walk
+collects each combination's keys and a candidate merges the keys its
+walk found.
 
 A productive splice moves each input's index to the block that replaces
 it. Keys that stay, and keys a target gains, only append to the
@@ -51,7 +53,7 @@ import heapq
 import itertools
 from operator import itemgetter
 
-from .blocks import Block
+from .blocks import Block, running_sum
 from .errors import DegenerateBlock, PreconditionViolated, ShapeMismatch
 
 
@@ -206,7 +208,7 @@ class _Working:
             entries[key] = value if prev is None else prev + value
             for mode, idx in enumerate(key):
                 sets[mode].add(idx)
-        self.mass += sum(added.values())
+        self.mass += running_sum(added.values())
         self.moved.append(added)
 
     def shed(self, removed: dict) -> None:
@@ -315,9 +317,7 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
     heap = []
     for combo, key in firsts.items():
         keys = spread.get(combo)
-        # sum() as a merge adds the mass up: from 3.12 on it is compensated,
-        # so a running + can differ from it.
-        mass = entries[key] if keys is None else sum([entries[k] for k in keys])
+        mass = entries[key] if keys is None else running_sum([entries[k] for k in keys])
         heap.append((-mass, combo))
     heapq.heapify(heap)
     merged = False

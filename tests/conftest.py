@@ -8,9 +8,11 @@ check.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -23,6 +25,7 @@ if str(SRC) not in sys.path:  # allow running the suite without installing
     sys.path.insert(0, str(SRC))
 
 from tensorsplice import Block, ShapeMismatch, TensorSpliceError  # noqa: E402
+from tensorsplice.blocks import running_sum  # noqa: E402
 from tensorsplice.detect import detect_top_blocks  # noqa: E402
 from tensorsplice.engine import _order_key  # noqa: E402
 from tensorsplice.splice import _denser_first, splice_pair  # noqa: E402
@@ -96,8 +99,70 @@ def subtract(block: Block, removal: Block) -> Block:
     return Block(block.n_modes, result)
 
 
+# ---------------------------------------------------------------------------
+# CPython 3.12's sum(), in pure Python, so the suite can run the package
+# under it on any interpreter. From 3.12 on, sum() adds floats with
+# Neumaier compensation; before, it is a left-to-right running sum.
+
+_C_LONG = range(-2**63, 2**63)
+
+
+def compensated_sum(iterable):
+    """Bit for bit what ``sum(iterable)`` returns on CPython 3.12.
+
+    Ints that fit a C long add exactly; floats add with a Neumaier
+    compensation term, which joins the total at the end only when it is
+    finite; anything else falls back to plain ``+``.
+    """
+    items = iter(iterable)
+    result = 0
+    for item in items:
+        if type(item) in (int, bool) and item in _C_LONG and result + item in _C_LONG:
+            result += item
+            continue
+        result = result + item
+        break
+    else:
+        return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+            elif isinstance(item, int) and item in _C_LONG:
+                total += float(item)
+            else:
+                if c and math.isfinite(c):
+                    total += c
+                result = total + item
+                break
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+@contextmanager
+def python312_sum():
+    """Run the block with ``compensated_sum`` as the ``sum`` of every
+    ``tensorsplice`` module; ``builtins`` stays as it is."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name == "tensorsplice" or name.startswith("tensorsplice."):
+                patch.setattr(module, "sum", compensated_sum, raising=False)
+        yield
+
+
 def recomputed_mass(block: Block):
-    return sum(block.entries.values())
+    return running_sum(block.entries.values())
 
 
 def recomputed_size(block: Block) -> int:
@@ -424,7 +489,7 @@ class _RefWorking:
             entries[key] = value if prev is None else prev + value
             for mode, idx in enumerate(key):
                 sets[mode].add(idx)
-        self.mass += sum(added.values())
+        self.mass += running_sum(added.values())
         self.counts = None  # support counts are stale once entries grow
 
     def shed(self, removed: dict) -> None:
@@ -587,7 +652,7 @@ def _ref_splice_workings(w1: _RefWorking, w2: _RefWorking, trace) -> None:
         else:
             free_modes = [m for m in range(n) if m not in q_modes]
             buckets = _ref_bucket_by_combo(w1.sets, w2.entries, q_modes, free_modes)
-            heap = [(-sum(e.values()), combo) for combo, e in buckets.items()]
+            heap = [(-running_sum(e.values()), combo) for combo, e in buckets.items()]
             heapq.heapify(heap)
             while heap:
                 neg_mass, combo = heapq.heappop(heap)

@@ -1,6 +1,9 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -11,10 +14,47 @@ from tensorsplice import (
     ShapeMismatch,
     TensorSlice,
 )
+from tensorsplice.blocks import running_sum
 from conftest import (
-    NotASubblock, mk, random_block, recomputed_mass, recomputed_size, subtract,
-    union,
+    NotASubblock, compensated_sum, mk, python312_sum, random_block,
+    recomputed_mass, recomputed_size, subtract, union,
 )
+
+
+class TestRunningSum:
+    # Inputs where a compensated sum and a running sum part ways, or where
+    # the int path must stay exact.
+    CASES = [
+        [0.1] * 10,
+        [1e16, 1.0, 1.0],
+        [0.2, 0.1, 0.1, 0.1, 0.1],
+        [1, 0.1, 2, 0.2, 0.7],
+        [float("inf"), 1.0],
+        [2**62, 2**62, 2**70, 1],
+        [2**62, 2**62, 0.5],
+    ]
+
+    def test_floats_add_left_to_right(self):
+        for values in self.CASES:
+            want = reduce(add, values, 0)
+            assert repr(running_sum(values)) == repr(want)
+            with python312_sum():
+                assert repr(running_sum(values)) == repr(want)
+
+    def test_ints_stay_exact_ints(self):
+        assert running_sum([2**62, 2**62, 2**70, 1]) == 2**63 + 2**70 + 1
+        assert type(running_sum([3, 4])) is int
+        assert running_sum([]) == 0
+
+    def test_the_emulated_sum_compensates(self):
+        assert compensated_sum([0.1] * 10) == 1.0
+        assert compensated_sum([1e16, 1.0, 1.0]) == 1e16 + 2
+        assert compensated_sum([0.2, 0.1, 0.1, 0.1, 0.1]) == 0.6000000000000001
+        assert compensated_sum([float("inf"), 1.0]) == float("inf")
+        assert compensated_sum([2**62, 2**62, 2**70, 1]) == 2**63 + 2**70 + 1
+        if sys.version_info[:2] == (3, 12):
+            for values in self.CASES:
+                assert repr(compensated_sum(values)) == repr(sum(values))
 
 
 class TestMass:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,105 @@ class TestOracle:
         ])
         final = json.loads(out.read_text().splitlines()[-1])
         assert final["blocks"][0]["density"] == 4.0
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_float_input_matches_committed_golden(command, tmp_path):
+    # Printed masses keep 12 significant digits, so these bytes pin the
+    # order and tie decisions on float data; the engine tests pin the bits.
+    out = tmp_path / "out.jsonl"
+    code = main([
+        command, "--input", str(DATA / "golden_float_input.tsv"),
+        *RUN_FLAGS, "--k", "3", "--output", str(out),
+    ])
+    assert code == 0
+    assert out.read_bytes() == (DATA / f"golden_float_{command}.jsonl").read_bytes()
+
+
+def piped(*args, stdin: bytes, **env) -> subprocess.CompletedProcess:
+    """The CLI as a child reading ``stdin`` from a pipe, in bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "tensorsplice.cli", *args],
+        input=stdin,
+        capture_output=True,
+        env={**subprocess_env(), **env},
+        timeout=TIMEOUT_S,
+    )
+
+
+class TestPipes:
+    GOLDEN = (DATA / "golden_input.tsv").read_bytes()
+
+    @pytest.mark.parametrize("path", ["-", "/dev/stdin"])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_stdin_gives_the_golden_bytes(self, command, path):
+        result = piped(command, "--input", path, *RUN_FLAGS, "--k", "3", stdin=self.GOLDEN)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (DATA / f"golden_{command}.jsonl").read_bytes()
+
+    def test_evaluate_reads_stdin(self):
+        truth = str(DATA / "golden_truth.json")
+        result = piped("evaluate", "--input", "-", "--truth", truth, stdin=self.GOLDEN)
+        assert result.returncode == 0, result.stderr
+        want = cli("evaluate", "--input", str(DATA / "golden_input.tsv"), "--truth", truth)
+        assert result.stdout.decode() == want.stdout
+
+    def test_non_utf8_stdin_is_input_error_whatever_the_locale(self):
+        result = piped("run", "--input", "-", *RUN_FLAGS,
+                       stdin="caf\xe9\tb\t100\t1\n".encode("latin-1"),
+                       PYTHONIOENCODING="latin-1", LC_ALL="C")
+        assert result.returncode == 2
+        assert result.stderr.decode().startswith("error: stdin: input is not UTF-8 text")
+
+    def test_output_is_not_compared_with_a_dash_input(self, tmp_path):
+        # "-" names stdin, so an --output file called "-" is not the input.
+        result = subprocess.run(
+            [sys.executable, "-m", "tensorsplice.cli", "run", "--input", "-",
+             *RUN_FLAGS, "--k", "3", "--output", "-"],
+            input=self.GOLDEN, capture_output=True, env=subprocess_env(),
+            cwd=tmp_path, timeout=TIMEOUT_S,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "-").read_bytes() == (DATA / "golden_run.jsonl").read_bytes()
+
+    def test_output_naming_the_file_on_stdin_is_config_error(self, tmp_path):
+        stream = tmp_path / "x.tsv"
+        stream.write_bytes(self.GOLDEN)
+        with open(stream, "rb") as handle:
+            result = subprocess.run(
+                [sys.executable, "-m", "tensorsplice.cli", "run", "--input", "-",
+                 *RUN_FLAGS, "--output", str(stream)],
+                stdin=handle, capture_output=True, text=True, env=subprocess_env(),
+                timeout=TIMEOUT_S,
+            )
+        assert result.returncode == 3
+        assert result.stderr == f"error: --output {stream} is the --input file\n"
+        assert stream.read_bytes() == self.GOLDEN
+
+    def test_each_stride_reaches_a_pipe_as_it_closes(self):
+        lines = self.GOLDEN.splitlines(keepends=True)
+        first_bin = [line for line in lines if int(line.split(b"\t")[2]) < 100]
+        next_bin = [line for line in lines if int(line.split(b"\t")[2]) >= 100][:1]
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)  # so stdout is block-buffered by default
+        child = subprocess.Popen(
+            [sys.executable, "-m", "tensorsplice.cli", "run", "--input", "-", *RUN_FLAGS],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            child.stdin.write(b"".join(first_bin + next_bin))
+            child.stdin.flush()  # and kept open: bin 1 has not closed
+            readable, _, _ = select.select([child.stdout], [], [], TIMEOUT_S)
+            assert readable, "step 0 was not written while stdin stayed open"
+            assert json.loads(child.stdout.readline())["step"] == 0
+            child.stdin.close()
+            assert json.loads(child.stdout.readline())["step"] == 1
+            assert child.wait(timeout=TIMEOUT_S) == 0
+        finally:
+            child.kill()
+            child.wait()
+            for stream in (child.stdin, child.stdout, child.stderr):
+                stream.close()
 
 
 class TestGenerate:

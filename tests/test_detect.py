@@ -18,6 +18,7 @@ from conftest import (
     examples,
     mk,
     mode_masses,
+    python312_sum,
     random_block,
     reference_detect,
 )
@@ -189,17 +190,26 @@ def test_batch_yields_to_a_lower_mode_tie():
     assert found[0].entries == {(0, 1): 1, (0, 2): 2}
 
 
+# Users are mode 0, items mode 1. Items 0, 1 and 3 weigh 0.1 and the total
+# is 0.6 over 6 ids, but 0.1 * 6 rounds above 0.6, so item 0 goes as a
+# single removal. That leaves 0.5 over 5 ids, where 0.1 * 5 == 0.5: the
+# batch must stop there, so the next round drops items 1 and 3 together.
+# Dropping item 1 alone would check a state of 0.4 over 4 ids, which
+# compares as denser than the start because 0.4 * 6 rounds above 0.6 * 4.
+BATCH_STOP = {(2, 2): 0.2, (0, 2): 0.1, (0, 1): 0.1, (0, 3): 0.1, (2, 0): 0.1}
+
+
 def test_batch_yields_once_a_float_mass_reaches_the_average():
-    # Users are mode 0, items mode 1. Items 0, 1 and 3 weigh 0.1 and the
-    # total is 0.6 over 6 ids, but 0.1 * 6 rounds above 0.6, so item 0 goes
-    # as a single removal. That leaves 0.5 over 5 ids, where 0.1 * 5 == 0.5:
-    # the batch must stop there, so the next round drops items 1 and 3
-    # together. Dropping item 1 alone would check a state of 0.4 over 4 ids,
-    # which compares as denser than the start because 0.4 * 6 rounds above
-    # 0.6 * 4.
-    entries = {(2, 2): 0.2, (0, 2): 0.1, (0, 1): 0.1, (0, 3): 0.1, (2, 0): 0.1}
-    found = detect_top_blocks(slice_of(entries, 2), 1)
-    assert found == reference_detect(mk(entries, 2), 1)
+    found = detect_top_blocks(slice_of(BATCH_STOP, 2), 1)
+    assert found == reference_detect(mk(BATCH_STOP, 2), 1)
+    assert found[0].entries == {(2, 2): 0.2, (0, 2): 0.1}
+
+
+def test_batch_stop_case_is_the_same_under_python312_sum():
+    # A compensated sum makes the start total 0.6000000000000001, not 0.6,
+    # and the peel would then keep only (2, 2).
+    with python312_sum():
+        found = detect_top_blocks(slice_of(BATCH_STOP, 2), 1)
     assert found[0].entries == {(2, 2): 0.2, (0, 2): 0.1}
 
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,13 +19,17 @@ from tensorsplice import (
     step,
 )
 from tensorsplice.engine import iter_rerun_outputs
+from tensorsplice.ingest import IngestConfig, ModeDictionary, parse_tuples
 from conftest import (
     examples,
     family_violations,
     ordered_pair,
+    python312_sum,
     reference_detect,
     reference_sweep,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # Both consumers of the shared bin partition: the tracking engine and the
 # full re-detection baseline.
@@ -302,3 +307,22 @@ def test_rerun_matches_reference_detect_on_every_prefix(stream, k, l):
         want = reference_detect(Block(n_modes, prefix), cfg.pool_size)[:k] if prefix else []
         assert output.top_k == want
         assert [b.mass for b in output.top_k] == [b.mass for b in want]
+
+
+@pytest.mark.parametrize("driver", STREAM_CONSUMERS)
+def test_float_stream_masses_are_the_same_under_python312_sum(driver):
+    # The golden stream with decimal values: every reported mass is a float
+    # whose last bits depend on how it was added up.
+    cfg = IngestConfig(mode_cols=(0, 1), time_col=2, value_col=3, stride=100, t0=0)
+    with open(DATA / "golden_float_input.tsv", encoding="utf-8") as handle:
+        events = list(parse_tuples(handle, cfg, ModeDictionary.for_config(cfg)))
+
+    def reported():
+        return [
+            [(b.mass.hex(), b.size, b.entries) for b in output.top_k]
+            for output in driver(events, EngineConfig(k=3))
+        ]
+
+    want = reported()
+    with python312_sum():
+        assert reported() == want

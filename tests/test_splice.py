@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from tensorsplice import (
     Block,
     DegenerateBlock,
+    Event,
     PreconditionViolated,
     ShapeMismatch,
+    TensorSlice,
+    detect_top_blocks,
     splice_condition,
     splice_pair,
 )
@@ -25,6 +28,7 @@ from conftest import (
     mk,
     new_id_count,
     ordered_pair,
+    python312_sum,
     random_block,
     reference_splice,
     reference_splice_pair,
@@ -334,14 +338,15 @@ VALUES = {
 
 
 @st.composite
-def block_pools(draw):
-    """2-5 blocks over 2-4 modes plus a sequence of index pairs to splice.
+def block_pools(draw, kinds=tuple(VALUES)):
+    """2-5 blocks over 2-4 modes plus a sequence of index pairs to splice,
+    with values of one of the ``kinds`` in ``VALUES``.
 
     Each block's last-mode ids are shifted by a drawn offset, so pairs are
     often disjoint there, as retained blocks and new seeds are in time.
     """
     n_modes = draw(st.integers(2, 4))
-    values = VALUES[draw(st.sampled_from(sorted(VALUES)))]
+    values = VALUES[draw(st.sampled_from(sorted(kinds)))]
     max_id = draw(st.integers(1, 4))
     pool = []
     for _ in range(draw(st.integers(2, 5))):
@@ -393,6 +398,27 @@ def test_splice_pair_matches_scanning_reference(drawn):
         traced: list = []
         splice_pair(a, b, traced)  # the inputs' cache was moved: rebuilt here
         assert traced == trace
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(drawn=block_pools(kinds=("float",)))
+def test_float_results_are_the_same_under_python312_sum(drawn):
+    pool, pairs = drawn
+
+    def results():
+        # Blocks rebuilt, so each run adds up its own masses and indices.
+        fresh = [Block(b.n_modes, b.entries) for b in pool]
+        slice_ = TensorSlice(fresh[0].n_modes, (0, 1))
+        for block in fresh:
+            for key, value in block.entries.items():
+                slice_.add(Event(key, value))
+        spliced = [[exact_view(x) for x in got] for _, _, got in splice_chain(fresh, pairs)]
+        detected = [exact_view(b) for b in detect_top_blocks(slice_, 3)]
+        return spliced, detected
+
+    want = results()
+    with python312_sum():
+        assert results() == want
 
 
 def assert_fresh(index: _SpliceIndex, block: Block) -> None:
@@ -489,12 +515,12 @@ def test_shared_id_bound_holds_within_rounding_of_the_merge_test(n_modes, data, 
 
 
 def test_bound_widening_covers_a_compensated_candidate_sum():
-    # One forced mode (mode 1). Summed in entry order, the donor's only
-    # combination weighs 1e16, which exactly ties the merge test against a
-    # target of mass 4e16 and size 4. Where sum() is compensated (Python
-    # 3.12+), the candidate weighs 1e16 + 2 and merges. The shared-id bound
+    # One forced mode (mode 1). Added up left to right, as every mass is,
+    # the donor's only combination weighs 1e16, which exactly ties the merge
+    # test against a target of mass 4e16 and size 4, so nothing merges on
+    # any Python; its exact sum, 1e16 + 2, would merge. The shared-id bound
     # (vmax 1e16 times 3 shared ids) lets the pass run, so the splice must
-    # sum the candidate as the reference does.
+    # add the candidate up as the reference does.
     donor = Block(2, {(0, 0): 1e16, (1, 0): 1.0, (2, 0): 1.0})
     target = Block(2, {(0, 100): 1e16, (1, 100): 1e16, (2, 100): 2e16})
     assert _forced_modes(target.index_sets, donor.index_sets) == (1,)
