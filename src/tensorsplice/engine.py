@@ -4,8 +4,9 @@
 Each step detects seed blocks in the incoming slice, pools them with the
 blocks retained from earlier strides, and runs pairwise splicing sweeps
 over the pool until a sweep moves nothing or the epoch cap is reached.
-The densest k+l survivors are retained for the next step and the top k
-are reported.
+The pool is ranked before the first sweep and after each sweep that
+moved mass, which also drops emptied blocks. The densest k+l survivors
+are retained for the next step and the top k are reported.
 
 The stream is append-only: retained blocks never lose entries to later
 slices, they only gain mass through splicing.
@@ -102,11 +103,10 @@ def step(
     incoming = detect_top_blocks(slice_, cfg.pool_size) if slice_.nnz else []
     detected_at = time.perf_counter()
 
-    pool = list(state.retained) + incoming
+    pool = sorted(state.retained + incoming, key=_order_key)
     # Pairs of retained blocks found sterile in earlier steps still are.
     sterile = set(state.sterile)
     for _ in range(cfg.max_epochs):
-        pool.sort(key=_order_key)
         changed = False
         for i in range(len(pool)):
             for j in range(i + 1, len(pool)):
@@ -126,12 +126,11 @@ def step(
                 else:
                     changed = True
                     pool[i], pool[j] = new_a, new_b
-        pool = [blk for blk in pool if not blk.is_empty]
         if not changed:
             break
+        pool = sorted((blk for blk in pool if not blk.is_empty), key=_order_key)
     spliced_at = time.perf_counter()
 
-    pool.sort(key=_order_key)
     retained = pool[: cfg.pool_size]
     kept = {block.serial for block in retained}
     output = StepOutput(

@@ -165,20 +165,20 @@ class _Working:
     """Mutable view of a block inside one splice call.
 
     Stays a read-only alias of its source until the first mutation; after
-    that it owns private copies of the entry dict and id sets. ``finish``
+    that it owns private copies of the entry dict and id sets. Only a
+    target keeps ``mass`` current, as only its mass is tested. ``finish``
     hands back the untouched source or materializes a fresh block, moving
     the source's index to it. A donor's postings are not updated until
     then, so a walk skips keys already gone from ``entries``.
     """
 
-    __slots__ = ("n", "entries", "sets", "mass", "owned", "source", "index", "moved", "counts")
+    __slots__ = ("n", "entries", "sets", "mass", "source", "index", "moved", "counts")
 
     def __init__(self, block: Block, index: _SpliceIndex | None):
         self.n = block.n_modes
         self.entries = block.entries
         self.sets = block.index_sets
         self.mass = block.mass
-        self.owned = False
         self.source = block
         self.index = index
         self.moved: list[dict] = []  # dicts absorbed or shed, in order
@@ -194,10 +194,9 @@ class _Working:
         return self.mass / self.size
 
     def _own(self) -> None:
-        if not self.owned:
+        if self.entries is self.source.entries:
             self.entries = dict(self.entries)
             self.sets = [set(s) for s in self.sets]
-            self.owned = True
 
     def absorb(self, added: dict) -> None:
         self._own()
@@ -220,8 +219,7 @@ class _Working:
         counts = self.counts
         postings = self.index.postings
         sets = self.sets
-        lost = 0
-        for key, value in removed.items():
+        for key in removed:
             del entries[key]
             for mode, idx in enumerate(key):
                 count = counts[mode].get(idx)
@@ -232,12 +230,10 @@ class _Working:
                 counts[mode][idx] = count
                 if not count:
                     sets[mode].discard(idx)
-            lost += value
-        self.mass -= lost
         self.moved.append(removed)
 
     def finish(self) -> Block:
-        if not self.owned:
+        if self.entries is self.source.entries:
             return self.source
         block = Block._adopt(self.n, self.entries, self.sets)
         index = self.index
@@ -412,7 +408,7 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
         if not w2.entries:
             break
         if any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)):
-            break  # overlap lost on some mode, forced modes changed
+            break  # overlap gone on some mode, forced modes changed
     return moved_any
 
 

@@ -342,6 +342,8 @@ def scaling_run(
     """
     if len(sizes) < 4:
         raise ValueError("need at least 4 sizes")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     if min(sizes) < 1 or max(sizes) < 16 * min(sizes):
         raise ValueError("sizes must be positive and span at least a 16x range")
     if timer is None:
@@ -377,6 +379,8 @@ def rerun_scaling_run(
     """
     if n_steps < 4:
         raise ValueError("need at least 4 steps")
+    if slice_nnz < 1:
+        raise ValueError("slice_nnz must be at least 1")
     cfg = cfg or EngineConfig(k=3, l=2)
     shape = (max(slice_nnz // 2, 4), max(slice_nnz // 4, 4))
     rng = random.Random(seed)

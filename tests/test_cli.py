@@ -26,7 +26,10 @@ SUMMARY = re.compile(
 
 
 def subprocess_env() -> dict:
+    """The caller's environment for a CLI child, minus ``PYTHONUNBUFFERED``,
+    so each child's stdout buffering is the one its test chose (``-u``)."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return env
 
@@ -349,11 +352,10 @@ class TestPipes:
         lines = self.GOLDEN.splitlines(keepends=True)
         first_bin = [line for line in lines if int(line.split(b"\t")[2]) < 100]
         next_bin = [line for line in lines if int(line.split(b"\t")[2]) >= 100][:1]
-        env = subprocess_env()
-        env.pop("PYTHONUNBUFFERED", None)  # so stdout is block-buffered by default
         child = subprocess.Popen(
             [sys.executable, "-m", "tensorsplice.cli", "run", "--input", "-", *RUN_FLAGS],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=subprocess_env(),
         )
         try:
             child.stdin.write(b"".join(first_bin + next_bin))
@@ -386,6 +388,18 @@ class TestGenerate:
             assert main([*self.GEN, "--output", str(out), "--truth", str(truth)]) == 0
             paths.append((out.read_bytes(), truth.read_bytes()))
         assert paths[0] == paths[1]
+
+    def test_rewrites_the_committed_golden_files(self, tmp_path):
+        out, truth = tmp_path / "in.tsv", tmp_path / "truth.json"
+        code = main([
+            "generate", "--block", "4x3", "--density", "1.0", "--span", "2",
+            "--start-bin", "1", "--bins", "4", "--seed", "42",
+            "--background-tuples", "176", "--background", "20x10",
+            "--output", str(out), "--truth", str(truth),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (DATA / "golden_input.tsv").read_bytes()
+        assert truth.read_bytes() == (DATA / "golden_truth.json").read_bytes()
 
     def test_run_without_t0_matches_origin_zero(self, tmp_path):
         # The generator shuffles tuples within a bin, so its first line is
@@ -474,6 +488,16 @@ class TestEvaluate:
         assert report["f_measure"] == 1.0
         assert len(report["density_series"]) == 3
         assert "timings" not in report
+
+    def test_matches_committed_golden(self, tmp_path):
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--input", str(DATA / "golden_input.tsv"),
+            "--truth", str(DATA / "golden_truth.json"), "--k", "3",
+            "--output", str(report),
+        ])
+        assert code == 0
+        assert report.read_bytes() == (DATA / "golden_evaluate.json").read_bytes()
 
     @pytest.mark.parametrize(
         "text",

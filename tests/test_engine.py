@@ -18,6 +18,7 @@ from tensorsplice import (
     run_stream,
     step,
 )
+import tensorsplice.engine
 from tensorsplice.engine import iter_rerun_outputs
 from tensorsplice.ingest import IngestConfig, ModeDictionary, parse_tuples
 from conftest import (
@@ -78,6 +79,28 @@ class TestStep:
         assert state2.retained == state.retained
         assert out.top_k == first.top_k
         assert out.timing["detect"] >= 0.0
+
+    def test_a_step_that_moves_nothing_ranks_each_block_once(self, monkeypatch):
+        entries = dense_bin(0, range(2), range(2))
+        entries.update(dense_bin(0, range(10, 12), range(10, 12), value=2))
+        entries[(20, 20, 0)] = 1
+        state, _ = step(EngineState(), slice_for(0, entries), CFG)
+        serials = [block.serial for block in state.retained]
+        assert len(serials) == 3
+        # Converged: every retained pair is in the sterile memo.
+        assert len(state.sterile) == 3
+
+        order_key = tensorsplice.engine._order_key
+        ranked = []
+
+        def recording(block):
+            ranked.append(block.serial)
+            return order_key(block)
+
+        monkeypatch.setattr(tensorsplice.engine, "_order_key", recording)
+        state2, _ = step(state, slice_for(1, {}), CFG)
+        assert state2.retained == state.retained
+        assert sorted(ranked) == sorted(serials)
 
     def test_cross_stride_block_is_spliced(self):
         # Same user/object core in two adjacent bins; after the second

@@ -13,6 +13,7 @@ from tensorsplice import (
     StepOutput,
     generate_stream,
     parse_tuples,
+    rerun_scaling_run,
     scaling_run,
     score,
 )
@@ -236,6 +237,15 @@ class TestScaling:
             scaling_run((100, 200, 1600), timer=lambda nnz: 1.0)
         with pytest.raises(ValueError):
             scaling_run((0, 100, 200, 1600))
+
+    def test_repeats_must_be_positive(self):
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            scaling_run(self.SIZES, repeats=0)
+
+    @pytest.mark.parametrize("slice_nnz", [0, -1])
+    def test_rerun_slice_nnz_must_be_positive(self, slice_nnz):
+        with pytest.raises(ValueError, match="slice_nnz must be at least 1"):
+            rerun_scaling_run(4, slice_nnz)
 
     def test_fit_requires_three_points(self):
         with pytest.raises(ValueError):
