@@ -14,15 +14,17 @@ repeats until a full pass moves nothing.
 A donor is read through its splice index, built the first time the block
 is spliced and cached on it: per-mode postings from each id to its entry
 keys in entry order, each key's ordinal, and an upper bound ``vmax`` on
-its entry values. Every pass with forced modes tries sub-blocks with one
-new id per forced mode, and an entry-free bound on the heaviest one comes
-first. Its entries take every other id from the ids both blocks share, so
-it holds at most one entry per combination of those shared ids, and
-weighs at most ``vmax`` times their number; when even that cannot pass
-the test, the pass would merge nothing and the call ends without reading
-an entry. The bound reads the donor block the call started from, which
-holds every entry the shrinking donor still does, and is widened past
-float rounding.
+its entry values. Each pass starts from one list, the ids the two blocks
+share on each mode: the forced modes are those where it is empty, and it
+feeds both the bound below and the walk of the donor. Every pass with
+forced modes tries sub-blocks with one new id per forced mode, and an
+entry-free bound on the heaviest one comes first. Its entries take every
+other id from the shared ids, so it holds at most one entry per
+combination of them and weighs at most ``vmax`` times their number,
+widened past float rounding; and when no two live donor entries share
+their forced-mode ids, it is a single entry of at most ``vmax``. When
+either weight fails the test, the pass would merge nothing and the call
+ends before the donor is walked.
 
 A pass that goes on visits only entries that can survive the shared-id
 filter: those reached through the shared ids of the cheapest free mode,
@@ -32,7 +34,11 @@ put back in entry order, and every mass is added up in that order by the
 one summation rule, ``running_sum`` in ``blocks.py``, so merges and masses
 match a scan of the whole donor exactly. With forced modes, one walk
 collects each combination's keys and a candidate merges the keys its
-walk found.
+walk found. When every mode overlaps, a drain that runs out of passing
+candidates while every mode still overlaps ends the call, unless a
+re-walk added a key to a bucket that already held keys: a second drain
+would build the same candidates, with the same mass bits, and merge
+nothing.
 
 A productive splice moves each input's index to the block that replaces
 it. Keys that stay, and keys a target gains, only append to the
@@ -99,27 +105,37 @@ class _SpliceIndex:
             self.postings.append(postings)
         self.vmax = max(entries.values())
 
-    def rules_out_by_shared_ids(self, donor: Block, q_modes: tuple, sets, mass, size) -> bool:
-        """True when no donor sub-block with one new id on each forced mode
-        can raise a target of these id ``sets``, mass and size, judged
-        without reading the donor's entries.
+    def rules_out_by_shared_ids(
+        self, donor: Block, entries: dict, q_modes: tuple, shared, mass, size
+    ) -> bool:
+        """True when no sub-block of the live donor ``entries`` with one new
+        id on each forced mode can raise a target of this mass and size,
+        where ``shared[m]`` holds the ids both blocks hold on mode ``m``.
 
         Such a sub-block's entries share their forced-mode ids and, to be
-        usable, take every other id from the ids both blocks hold, so it
-        has at most one entry per combination of those shared ids, each
-        weighing at most ``vmax``.
+        usable, take every other id from ``shared``, so it has at most one
+        entry per combination of those shared ids, each weighing at most
+        ``vmax``: the first clause bounds it by ``vmax`` times their number.
+        The second clause holds when a single entry of ``vmax`` fails and
+        no two live entries share their forced-mode ids, so that every
+        candidate is one entry of at most ``vmax``.
         """
         combos = 1
-        for mode, (mine, theirs) in enumerate(zip(sets, donor.index_sets)):
-            if mode not in q_modes:
-                combos *= len(mine.intersection(theirs))
+        for ids in shared:
+            if ids:
+                combos *= len(ids)
         heaviest = self.vmax * combos
-        if not isinstance(donor.mass, int):
+        if not isinstance(donor.mass, int):  # the donor holds a float value
             # Any float sum of at most nnz positive values, in any order,
             # is within a relative nnz * 2**-53 of the exact sum; widen the
             # bound past the error of both it and the candidate's own sum.
-            heaviest *= 1 + (donor.nnz + 1) * 2.0**-50
-        return not splice_condition(heaviest, len(q_modes), mass, size)
+            heaviest *= 1 + (len(entries) + 1) * 2.0**-50
+        q = len(q_modes)
+        if not splice_condition(heaviest, q, mass, size):
+            return True
+        return not splice_condition(self.vmax, q, mass, size) and len(
+            set(map(itemgetter(*q_modes), entries))
+        ) == len(entries)
 
     def update(self, entries: dict, moved: list[dict]) -> None:
         """Re-index after the dicts in ``moved`` were summed into or taken
@@ -254,9 +270,9 @@ def _merge(w1: _Working, w2: _Working, entries: dict, trace) -> None:
         trace.append((before, w1.density()))
 
 
-def _reached(w1_sets, w2: _Working, modes, count: int):
-    """Live donor keys holding a target id on at least one of the ``count``
-    cheapest ``modes``, in donor entry order.
+def _reached(shared, w2: _Working, modes, count: int):
+    """Live donor keys holding a ``shared`` id on at least one of the
+    ``count`` cheapest ``modes``, in donor entry order.
 
     Cost is the number of postings a walk would visit; when fewer than
     ``count`` modes are given, or the walk would visit at least as many
@@ -267,22 +283,21 @@ def _reached(w1_sets, w2: _Working, modes, count: int):
     options = []
     for mode in modes:
         mode_postings = postings[mode]
-        shared = mode_postings.keys() & w1_sets[mode]
-        cost = sum([len(mode_postings[idx]) for idx in shared])
-        options.append((cost, mode, shared))
+        cost = sum([len(mode_postings[idx]) for idx in shared[mode]])
+        options.append((cost, mode))
     options.sort()
     chosen = options[:count]
-    if len(chosen) < count or sum(cost for cost, _, _ in chosen) >= len(entries):
+    if len(chosen) < count or sum(cost for cost, _ in chosen) >= len(entries):
         return entries
     keys: set = set()
-    for _, mode, shared in chosen:
+    for _, mode in chosen:
         mode_postings = postings[mode]
-        for idx in shared:
+        for idx in shared[mode]:
             keys.update(mode_postings[idx])
     return sorted([key for key in keys if key in entries], key=w2.index.order.__getitem__)
 
 
-def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
+def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, shared, trace) -> bool:
     """One pass with forced modes: merge candidates heaviest first, ties
     by combination, while the merge test passes.
 
@@ -291,11 +306,11 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
     collects each candidate's keys in entry order.
     """
     entries = w2.entries
-    free = [(m, w1.sets[m]) for m in range(w1.n) if m not in q_modes]
+    free = [(m, ids) for m, ids in enumerate(shared) if ids]
     combo_of = itemgetter(*q_modes)  # a bare id when one mode is forced
     firsts: dict = {}
     spread: dict = {}  # keys in entry order of the combinations seen twice
-    for key in _reached(w1.sets, w2, [m for m, _ in free], 1):
+    for key in _reached(shared, w2, [m for m, _ in free], 1):
         for m, seen in free:
             if key[m] not in seen:
                 break
@@ -333,20 +348,30 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, trace) -> bool:
     return merged
 
 
-def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
-    """Run fully-overlapping passes to exhaustion without rescanning.
+def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
+    """Run fully-overlapping passes to exhaustion without rescanning, and
+    return whether a further pass could merge.
 
     Equivalent to repeating the one-shot pass while it keeps merging, but
     the donor is classified once: entries with a single unseen id feed a
     lazy max-heap of per-(mode, id) candidates. Entries with several wait
     until one of their ids becomes common, when a walk of that id's
-    postings re-examines them. Returns once the best candidate fails, the
-    donor runs dry, or some mode loses its overlap (the caller then
-    recomputes the forced modes).
+    postings re-examines them. Stops once the best candidate fails or
+    none is left, the donor runs dry, or some mode loses its overlap (the
+    caller then recomputes the forced modes).
+
+    A merge makes only its bucket's id common, so it creates no entry
+    without unseen ids, and the entries it leaves with one are those its
+    re-walk enrolls. A drain that stopped on a failing candidate, or ran
+    out of them, while every mode still overlaps is therefore final unless
+    a re-walk added a key to a bucket that already held keys: a second
+    drain would rebuild the same buckets, in entry order, with the same
+    mass bits, and fail on the same candidate.
     """
     n = w1.n
     postings = w2.index.postings
     moved_any = False
+    joined = False  # a re-walk added a key to a non-empty bucket
     common = {}
     buckets: dict[tuple[int, int], dict] = {}
     masses: dict[tuple[int, int], int | float] = {}
@@ -362,21 +387,19 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
             bucket[key] = value
             masses[bucket_key] += value
 
-    def unseen_ids(key):
-        found = []
+    sets = w1.sets  # the target's sets until its first merge copies them
+    for key in _reached(shared, w2, range(n), 2):
+        new_id = None
         for m in range(n):
-            idx = key[m]
-            if idx not in w1.sets[m]:
-                found.append((m, idx))
-        return found
-
-    for key in _reached(w1.sets, w2, range(n), 2):
-        value = w2.entries[key]
-        new_ids = unseen_ids(key)
-        if not new_ids:
-            common[key] = value
-        elif len(new_ids) == 1:
-            enroll(key, value, new_ids[0])
+            if key[m] not in sets[m]:
+                if new_id is not None:
+                    break  # a second unseen id
+                new_id = (m, key[m])
+        else:
+            if new_id is None:
+                common[key] = w2.entries[key]
+            else:
+                enroll(key, w2.entries[key], new_id)
     heap = [(-mass, bucket_key) for bucket_key, mass in masses.items()]
     heapq.heapify(heap)
 
@@ -401,19 +424,16 @@ def _empty_q_drain(w1: _Working, w2: _Working, trace) -> bool:
         for key in postings[mode][idx]:
             value = w2.entries.get(key)
             if value is not None:
-                still_new = unseen_ids(key)
-                if len(still_new) == 1:
-                    enroll(key, value, still_new[0])
-                    heapq.heappush(heap, (-masses[still_new[0]], still_new[0]))
+                new_ids = [(m, key[m]) for m in range(n) if key[m] not in w1.sets[m]]
+                if len(new_ids) == 1:
+                    joined = joined or new_ids[0] in buckets
+                    enroll(key, value, new_ids[0])
+                    heapq.heappush(heap, (-masses[new_ids[0]], new_ids[0]))
         if not w2.entries:
             break
         if any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)):
             break  # overlap gone on some mode, forced modes changed
-    return moved_any
-
-
-def _forced_modes(sets1, sets2) -> tuple:
-    return tuple(m for m in range(len(sets1)) if sets1[m].isdisjoint(sets2[m]))
+    return moved_any and (joined or any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +451,8 @@ def splice_pair(
     same objects. ``trace``, when given, collects a ``(density_before,
     density_after)`` pair for every individual merge.
     """
+    if b1 is b2:
+        raise PreconditionViolated("cannot splice a block into itself")
     if b1.n_modes != b2.n_modes:
         raise ShapeMismatch(f"{b1.n_modes}-mode vs {b2.n_modes}-mode blocks")
     if b2.is_empty:
@@ -442,16 +464,17 @@ def splice_pair(
     index = b2._index
     if index is None:
         index = b2._index = _SpliceIndex(b2)
-    w1 = _Working(b1, b1._index if b1 is not b2 else None)
+    w1 = _Working(b1, b1._index)
     w2 = _Working(b2, index)
     while w2.entries:
-        q_modes = _forced_modes(w1.sets, w2.sets)
+        shared = [mine & theirs for mine, theirs in zip(w1.sets, w2.sets)]
+        q_modes = tuple(m for m, ids in enumerate(shared) if not ids)
         if not q_modes:
-            updated = _empty_q_drain(w1, w2, trace)
-        elif index.rules_out_by_shared_ids(b2, q_modes, w1.sets, w1.mass, w1.size):
+            more = _empty_q_drain(w1, w2, shared, trace)
+        elif index.rules_out_by_shared_ids(b2, w2.entries, q_modes, shared, w1.mass, w1.size):
             break  # even the heaviest candidate fails: the pass merges nothing
         else:
-            updated = _forced_pass(w1, w2, q_modes, trace)
-        if not updated:
+            more = _forced_pass(w1, w2, q_modes, shared, trace)
+        if not more:
             break
     return w1.finish(), w2.finish()

@@ -699,6 +699,20 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` for one test; the returned list collects the
+    positional arguments of every call."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def reference_sweep(retained: list, slice_, cfg) -> list:
     """The blocks ``engine.step`` retains, without its sterile-pair memo:
     every sweep splices every pair again."""

@@ -19,8 +19,9 @@ from tensorsplice import (
     splice_pair,
 )
 import tensorsplice.splice
-from tensorsplice.splice import _forced_modes, _SpliceIndex
+from tensorsplice.splice import _SpliceIndex
 from conftest import (
+    count_calls,
     empty_q_step,
     enumerate_candidates,
     examples,
@@ -175,6 +176,12 @@ class TestSplicePair:
         heavy = mk({(0, 0, 0): 9})
         with pytest.raises(PreconditionViolated):
             splice_pair(light, heavy)
+
+    def test_block_cannot_splice_into_itself(self):
+        b = mk({(0, 0, 0): 2, (1, 1, 0): 1})
+        with pytest.raises(PreconditionViolated, match="into itself"):
+            splice_pair(b, b)
+        assert b.entries == {(0, 0, 0): 2, (1, 1, 0): 1} and b.mass == 3
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -342,12 +349,14 @@ def block_pools(draw, kinds=tuple(VALUES)):
     """2-5 blocks over 2-4 modes plus a sequence of index pairs to splice,
     with values of one of the ``kinds`` in ``VALUES``.
 
-    Each block's last-mode ids are shifted by a drawn offset, so pairs are
-    often disjoint there, as retained blocks and new seeds are in time.
+    Each block's ids on a drawn subset of the modes are shifted by a drawn
+    offset, so pairs are often disjoint there, as retained blocks and new
+    seeds are in time, and often forced on two or more modes.
     """
     n_modes = draw(st.integers(2, 4))
     values = VALUES[draw(st.sampled_from(sorted(kinds)))]
     max_id = draw(st.integers(1, 4))
+    shifted = draw(st.lists(st.booleans(), min_size=n_modes, max_size=n_modes))
     pool = []
     for _ in range(draw(st.integers(2, 5))):
         shift = draw(st.integers(0, 2)) * (max_id + 1)
@@ -357,7 +366,7 @@ def block_pools(draw, kinds=tuple(VALUES)):
         ))
         entries: dict = {}
         for key, value in cells:
-            key = key[:-1] + (key[-1] + shift,)
+            key = tuple(idx + shift if on else idx for idx, on in zip(key, shifted))
             entries[key] = entries.get(key, 0) + value
         pool.append(Block(n_modes, entries))
     pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12))
@@ -456,6 +465,11 @@ def test_target_index_after_appends_matches_fresh_index(drawn):
             assert_fresh(got[0]._index, got[0])
 
 
+def shared_ids(target: Block, donor: Block) -> list:
+    """Per mode, the ids both blocks hold, as the bound is given them."""
+    return [mine & theirs for mine, theirs in zip(target.index_sets, donor.index_sets)]
+
+
 @settings(max_examples=examples(300), deadline=None)
 @given(drawn=block_pools())
 def test_shared_id_bound_never_rejects_a_productive_pair(drawn):
@@ -469,10 +483,10 @@ def test_shared_id_bound_never_rejects_a_productive_pair(drawn):
             if x is y:
                 continue
             a, b = ordered_pair(x, y)
-            q_modes = _forced_modes(a.index_sets, b.index_sets)
+            q_modes = required_new_modes(a, b)
             index = b._index or _SpliceIndex(b)
             if q_modes and index.rules_out_by_shared_ids(
-                b, q_modes, a.index_sets, a.mass, a.size
+                b, b.entries, q_modes, shared_ids(a, b), a.mass, a.size
             ):
                 r1, r2 = reference_splice_pair(a, b)
                 assert r1 is a and r2 is b
@@ -505,13 +519,26 @@ def test_shared_id_bound_holds_within_rounding_of_the_merge_test(n_modes, data, 
         share = math.nextafter(share, math.inf if nudge > 0 else 0.0)
     target = Block(n_modes, dict.fromkeys(keys, share))
     assume(target.mass * donor.size >= donor.mass * target.size)
-    assert _forced_modes(target.index_sets, donor.index_sets) == q_modes
+    assert required_new_modes(target, donor) == q_modes
     if _SpliceIndex(donor).rules_out_by_shared_ids(
-        donor, q_modes, target.index_sets, target.mass, target.size
+        donor, donor.entries, q_modes, shared_ids(target, donor), target.mass, target.size
     ):
         assert not heaviest * target.size > len(q_modes) * target.mass
         r1, r2 = reference_splice_pair(target, donor)
         assert r1 is target and r2 is donor
+
+
+def assert_matches_reference(target: Block, donor: Block) -> tuple:
+    """Splice with a trace and check results, identity and trace against
+    the scanning reference; returns the results."""
+    trace: list = []
+    got = splice_pair(target, donor, trace)
+    want_trace: list = []
+    want = reference_splice_pair(target, donor, want_trace)
+    assert [exact_view(x) for x in got] == [exact_view(x) for x in want]
+    assert (got[0] is target, got[1] is donor) == (want[0] is target, want[1] is donor)
+    assert trace == want_trace
+    return got
 
 
 def test_bound_widening_covers_a_compensated_candidate_sum():
@@ -523,11 +550,8 @@ def test_bound_widening_covers_a_compensated_candidate_sum():
     # add the candidate up as the reference does.
     donor = Block(2, {(0, 0): 1e16, (1, 0): 1.0, (2, 0): 1.0})
     target = Block(2, {(0, 100): 1e16, (1, 100): 1e16, (2, 100): 2e16})
-    assert _forced_modes(target.index_sets, donor.index_sets) == (1,)
-    got = splice_pair(target, donor)
-    want = reference_splice_pair(target, donor)
-    assert [exact_view(x) for x in got] == [exact_view(x) for x in want]
-    assert (got[0] is target, got[1] is donor) == (want[0] is target, want[1] is donor)
+    assert required_new_modes(target, donor) == (1,)
+    assert_matches_reference(target, donor)
 
 
 @pytest.mark.parametrize("unit", [1, 0.1], ids=["int", "float"])
@@ -537,16 +561,68 @@ def test_bounds_reject_a_later_forced_pass(unit, monkeypatch):
     # units) ends the call before a second pass walks the donor.
     target = Block(3, {(0, 0, 0): 9 * unit})
     donor = Block(3, {(0, 0, 1): 10 * unit, (5, 5, 2): 1 * unit})
-    passes = []
-    forced_pass = tensorsplice.splice._forced_pass
-
-    def counted(*args):
-        passes.append(args[2])
-        return forced_pass(*args)
-
-    monkeypatch.setattr(tensorsplice.splice, "_forced_pass", counted)
-    got = splice_pair(target, donor)
-    want = reference_splice_pair(target, donor)
-    assert passes == [(2,)]
-    assert [exact_view(x) for x in got] == [exact_view(x) for x in want]
+    passes = count_calls(monkeypatch, tensorsplice.splice, "_forced_pass")
+    got = assert_matches_reference(target, donor)
+    assert [args[2] for args in passes] == [(2,)]
     assert got[1].entries == {(5, 5, 2): 1 * unit}
+
+
+# Users and items of the target (density 4/6); the donor below shares its
+# two time bins and none of its users or items, so modes 0 and 1 are forced.
+TWO_BIN_TARGET = {(0, 0, 0): 1, (0, 1, 0): 1, (1, 0, 1): 1, (1, 1, 1): 1}
+
+
+def test_bound_ends_a_pass_of_one_entry_candidates(monkeypatch):
+    # Each (user, item) pair appears once, so every candidate is one entry
+    # of value 1, and 1 * 6 <= 2 * 4 fails the test. The first clause lets
+    # the pass through (1 * 2 shared time bins * 6 > 2 * 4); the second
+    # ends the call before the donor is walked.
+    target = Block(3, TWO_BIN_TARGET)
+    donor = Block(3, {(5, 5, 0): 1, (6, 6, 1): 1})
+    passes = count_calls(monkeypatch, tensorsplice.splice, "_forced_pass")
+    got = assert_matches_reference(target, donor)
+    assert passes == []
+    assert got[0] is target and got[1] is donor
+
+
+def test_bound_lets_a_repeated_combination_through(monkeypatch):
+    # (5, 5) appears in both time bins: a two-entry candidate of mass 2
+    # passes (2 * 6 > 2 * 4), so the pass runs and merges it.
+    target = Block(3, TWO_BIN_TARGET)
+    donor = Block(3, {(5, 5, 0): 1, (5, 5, 1): 1, (6, 6, 1): 1})
+    passes = count_calls(monkeypatch, tensorsplice.splice, "_forced_pass")
+    got = assert_matches_reference(target, donor)
+    assert [args[2] for args in passes] == [(0, 1)]
+    assert got[1].entries == {(6, 6, 1): 1}
+
+
+@pytest.mark.parametrize("unit", [1, 0.1], ids=["int", "float"])
+def test_drain_that_stops_on_a_failing_candidate_is_final(unit, monkeypatch):
+    # Every mode overlaps. The drain moves the shared (0, 0, 0) for free,
+    # merges time 9 (19 * 3 > 14, in units) and stops on user 5 and
+    # item 7, whose entries keep every mode overlapping. No re-walk joined
+    # a bucket, so a second drain would fail on the same candidate.
+    target = Block(3, {(0, 0, 0): 12 * unit})
+    donor = Block(3, {
+        (0, 0, 0): 2 * unit, (5, 0, 0): 1 * unit, (0, 7, 0): 1 * unit, (0, 0, 9): 19 * unit,
+    })
+    drains = count_calls(monkeypatch, tensorsplice.splice, "_empty_q_drain")
+    got = assert_matches_reference(target, donor)
+    assert len(drains) == 1
+    assert got[1].entries == {(5, 0, 0): 1 * unit, (0, 7, 0): 1 * unit}
+
+
+def test_drain_runs_again_after_a_rewalk_joins_a_bucket(monkeypatch):
+    # Merging user 5 leaves (5, 7, 0) with one unseen id, item 7, and its
+    # re-walk appends it to item 7's bucket after (0, 7, 0) and (1, 7, 0):
+    # (1 + 1e16) + 1 rounds to 1e16, which fails (1e16 * 5 <= 5e16). In
+    # entry order a second drain adds (1 + 1) + 1e16 = 1e16 + 2, which
+    # passes, so the first drain must not end the call.
+    target = Block(3, {(0, 0, 0): 1.9e16, (1, 0, 0): 1.9e16})
+    donor = Block(3, {
+        (5, 7, 0): 1.0, (0, 7, 0): 1.0, (1, 7, 0): 1e16, (5, 0, 0): 1.2e16, (6, 0, 0): 1.0,
+    })
+    drains = count_calls(monkeypatch, tensorsplice.splice, "_empty_q_drain")
+    got = assert_matches_reference(target, donor)
+    assert len(drains) == 2
+    assert got[1].entries == {(6, 0, 0): 1.0}
