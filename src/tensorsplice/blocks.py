@@ -15,9 +15,10 @@ from its entry dict reproduces the cache bit for bit, including for float
 values, on every supported Python.
 
 Blocks behave as values: operations return new instances, and a block's
-entries, id sets and mass never change after construction. Each block also
-has a ``serial`` number, unique within the process, which the engine uses
-to remember pairs without keeping the blocks alive. A block may carry a
+entries, id sets, mass and size never change after construction, so both
+aggregates are computed once. Each block also has a ``serial`` number,
+unique within the process, which the engine uses to remember pairs
+without keeping the blocks alive. A block may carry a
 private splice index (see ``splice.py``), which ``splice_pair`` builds on
 first use and moves to the block that replaces this one, so two threads
 must not splice the same block at once. Index sets are exposed sorted
@@ -106,7 +107,7 @@ class Block:
     exist, positive finite values) hold for every instance.
     """
 
-    __slots__ = ("n_modes", "entries", "index_sets", "mass", "serial", "_index")
+    __slots__ = ("n_modes", "entries", "index_sets", "mass", "size", "serial", "_index")
 
     def __init__(self, n_modes: int, entries: dict | None = None):
         entries = dict(entries) if entries else {}
@@ -141,12 +142,9 @@ class Block:
         self.entries = entries
         self.index_sets = index_sets
         self.mass = running_sum(entries.values())
+        self.size = sum(map(len, index_sets))
         self.serial = next(_serials)
         self._index = None
-
-    @property
-    def size(self) -> int:
-        return sum(len(s) for s in self.index_sets)
 
     @property
     def nnz(self) -> int:

@@ -78,15 +78,24 @@ class StepOutput:
     timing: dict[str, float]
 
 
+class _TieBreak:
+    """Orders blocks by their canonical id tuples, built only when a rank
+    tie reaches them. A sort compares keys with ``<`` alone."""
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: Block):
+        self.block = block
+
+    def __lt__(self, other) -> bool:
+        a, b, modes = self.block, other.block, range(self.block.n_modes)
+        return [a.sorted_ids(m) for m in modes] < [b.sorted_ids(m) for m in modes]
+
+
 def _order_key(block: Block):
     # Total, deterministic order: density desc, then mass desc, then size,
     # then the canonical id tuples.
-    return (
-        -(block.mass / block.size),
-        -block.mass,
-        block.size,
-        tuple(tuple(block.sorted_ids(m)) for m in range(block.n_modes)),
-    )
+    return (-(block.mass / block.size), -block.mass, block.size, _TieBreak(block))
 
 
 def step(

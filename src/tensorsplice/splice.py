@@ -22,9 +22,11 @@ entry-free bound on the heaviest one comes first. Its entries take every
 other id from the shared ids, so it holds at most one entry per
 combination of them and weighs at most ``vmax`` times their number,
 widened past float rounding; and when no two live donor entries share
-their forced-mode ids, it is a single entry of at most ``vmax``. When
-either weight fails the test, the pass would merge nothing and the call
-ends before the donor is walked.
+their forced-mode ids, it is a single entry of at most ``vmax``. A
+forced mode with as many live ids as the donor has entries shows the
+latter, so with one forced mode the bound reads no entry. When either
+weight fails the test, the pass would merge nothing and the call ends
+before the donor is walked.
 
 A pass that goes on visits only entries that can survive the shared-id
 filter: those reached through the shared ids of the cheapest free mode,
@@ -39,6 +41,13 @@ candidates while every mode still overlaps ends the call, unless a
 re-walk added a key to a bucket that already held keys: a second drain
 would build the same candidates, with the same mass bits, and merge
 nothing.
+
+Nothing is recounted per merge. The target keeps its mass and size as it
+merges, and each merge names the ids it adds: none for shared entries, a
+bucket's one id in a drain, the forced ids the target still lacks in a
+forced pass. The donor's id sets stay exact as entries leave. A mode's
+overlap is gone once the two blocks' id counts on it add up to their
+union, which moving entries does not change.
 
 A productive splice moves each input's index to the block that replaces
 it. Keys that stay, and keys a target gains, only append to the
@@ -105,12 +114,10 @@ class _SpliceIndex:
             self.postings.append(postings)
         self.vmax = max(entries.values())
 
-    def rules_out_by_shared_ids(
-        self, donor: Block, entries: dict, q_modes: tuple, shared, mass, size
-    ) -> bool:
-        """True when no sub-block of the live donor ``entries`` with one new
-        id on each forced mode can raise a target of this mass and size,
-        where ``shared[m]`` holds the ids both blocks hold on mode ``m``.
+    def rules_out_by_shared_ids(self, donor: _Working, q_modes: tuple, shared, mass, size) -> bool:
+        """True when no sub-block of the live ``donor`` with one new id on
+        each forced mode can raise a target of this mass and size, where
+        ``shared[m]`` holds the ids both blocks hold on mode ``m``.
 
         Such a sub-block's entries share their forced-mode ids and, to be
         usable, take every other id from ``shared``, so it has at most one
@@ -118,24 +125,29 @@ class _SpliceIndex:
         ``vmax``: the first clause bounds it by ``vmax`` times their number.
         The second clause holds when a single entry of ``vmax`` fails and
         no two live entries share their forced-mode ids, so that every
-        candidate is one entry of at most ``vmax``.
+        candidate is one entry of at most ``vmax``. A forced mode with as
+        many live ids as entries settles that, and with one forced mode it
+        is the whole test; only several forced modes may read the entries.
         """
         combos = 1
         for ids in shared:
             if ids:
                 combos *= len(ids)
         heaviest = self.vmax * combos
-        if not isinstance(donor.mass, int):  # the donor holds a float value
+        nnz = len(donor.entries)
+        if not isinstance(donor.source.mass, int):  # the donor holds a float value
             # Any float sum of at most nnz positive values, in any order,
             # is within a relative nnz * 2**-53 of the exact sum; widen the
             # bound past the error of both it and the candidate's own sum.
-            heaviest *= 1 + (len(entries) + 1) * 2.0**-50
+            heaviest *= 1 + (nnz + 1) * 2.0**-50
         q = len(q_modes)
         if not splice_condition(heaviest, q, mass, size):
             return True
-        return not splice_condition(self.vmax, q, mass, size) and len(
-            set(map(itemgetter(*q_modes), entries))
-        ) == len(entries)
+        if splice_condition(self.vmax, q, mass, size):
+            return False
+        if any(len(donor.sets[m]) == nnz for m in q_modes):
+            return True
+        return q > 1 and len(set(map(itemgetter(*q_modes), donor.entries))) == nnz
 
     def update(self, entries: dict, moved: list[dict]) -> None:
         """Re-index after the dicts in ``moved`` were summed into or taken
@@ -182,29 +194,28 @@ class _Working:
 
     Stays a read-only alias of its source until the first mutation; after
     that it owns private copies of the entry dict and id sets. Only a
-    target keeps ``mass`` current, as only its mass is tested. ``finish``
-    hands back the untouched source or materializes a fresh block, moving
-    the source's index to it. A donor's postings are not updated until
-    then, so a walk skips keys already gone from ``entries``.
+    target keeps ``mass`` and ``size`` current, as only they are tested,
+    and a merge tells it the ids it gains. A donor's ``sets`` stay exact,
+    since ``shed`` drops an id with its last live entry. ``finish`` hands
+    back the untouched source or materializes a fresh block, moving the
+    source's index to it. A donor's postings are not updated until then,
+    so a walk skips keys already gone from ``entries``.
     """
 
-    __slots__ = ("n", "entries", "sets", "mass", "source", "index", "moved", "counts")
+    __slots__ = ("n", "entries", "sets", "mass", "size", "source", "index", "moved", "counts")
 
     def __init__(self, block: Block, index: _SpliceIndex | None):
         self.n = block.n_modes
         self.entries = block.entries
         self.sets = block.index_sets
         self.mass = block.mass
+        self.size = block.size
         self.source = block
         self.index = index
         self.moved: list[dict] = []  # dicts absorbed or shed, in order
         # Set by the first shed, so only on a donor: per mode, the live
         # entry count of every id a shed touched.
         self.counts: list[dict[int, int]] | None = None
-
-    @property
-    def size(self) -> int:
-        return sum(len(s) for s in self.sets)
 
     def density(self) -> float:
         return self.mass / self.size
@@ -214,15 +225,19 @@ class _Working:
             self.entries = dict(self.entries)
             self.sets = [set(s) for s in self.sets]
 
-    def absorb(self, added: dict) -> None:
+    def absorb(self, added: dict, new_ids) -> None:
+        """Sum ``added`` into the entries, where a key already held adds
+        its value, and add ``new_ids``: the ``(mode, id)`` pairs of
+        ``added`` that the block does not hold yet."""
         self._own()
         entries = self.entries
-        sets = self.sets
         for key, value in added.items():
             prev = entries.get(key)
             entries[key] = value if prev is None else prev + value
-            for mode, idx in enumerate(key):
-                sets[mode].add(idx)
+        sets = self.sets
+        for mode, idx in new_ids:
+            sets[mode].add(idx)
+        self.size += len(new_ids)
         self.mass += running_sum(added.values())
         self.moved.append(added)
 
@@ -261,10 +276,11 @@ class _Working:
         return block
 
 
-def _merge(w1: _Working, w2: _Working, entries: dict, trace) -> None:
-    """Move donor ``entries`` into the target, tracing the density change."""
+def _merge(w1: _Working, w2: _Working, entries: dict, new_ids, trace) -> None:
+    """Move donor ``entries``, which bring the target ``new_ids``, into
+    the target, tracing the density change."""
     before = w1.density() if trace is not None else 0.0
-    w1.absorb(entries)
+    w1.absorb(entries, new_ids)
     w2.shed(entries)
     if trace is not None:
         trace.append((before, w1.density()))
@@ -336,14 +352,11 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, shared, trace) -> b
         neg_mass, combo = heapq.heappop(heap)
         ids = (combo,) if len(q_modes) == 1 else combo
         # Earlier merges this pass may have made some of these ids common.
-        q_now = 0
-        for m, idx in zip(q_modes, ids):
-            if idx not in w1.sets[m]:
-                q_now += 1
-        if not splice_condition(-neg_mass, q_now, w1.mass, w1.size):
+        new_ids = [(m, idx) for m, idx in zip(q_modes, ids) if idx not in w1.sets[m]]
+        if not splice_condition(-neg_mass, len(new_ids), w1.mass, w1.size):
             break
         keys = spread.get(combo) or (firsts[combo],)
-        _merge(w1, w2, {key: entries[key] for key in keys}, trace)
+        _merge(w1, w2, {key: entries[key] for key in keys}, new_ids, trace)
         merged = True
     return merged
 
@@ -358,15 +371,18 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
     until one of their ids becomes common, when a walk of that id's
     postings re-examines them. Stops once the best candidate fails or
     none is left, the donor runs dry, or some mode loses its overlap (the
-    caller then recomputes the forced modes).
+    caller then recomputes the forced modes). A mode has lost it when the
+    two blocks' id counts on it add up to their union, taken once from
+    ``shared``: a merge moves ids into the target and never out of both.
 
-    A merge makes only its bucket's id common, so it creates no entry
-    without unseen ids, and the entries it leaves with one are those its
-    re-walk enrolls. A drain that stopped on a failing candidate, or ran
-    out of them, while every mode still overlaps is therefore final unless
-    a re-walk added a key to a bucket that already held keys: a second
-    drain would rebuild the same buckets, in entry order, with the same
-    mass bits, and fail on the same candidate.
+    A merge makes only its bucket's id common, and tells the target so;
+    the shared entries add no id. So a merge creates no entry without
+    unseen ids, and the entries it leaves with one are those its re-walk
+    enrolls. A drain that stopped on a failing candidate, or ran out of
+    them, while every mode still overlaps is therefore final unless a
+    re-walk added a key to a bucket that already held keys: a second drain
+    would rebuild the same buckets, in entry order, with the same mass
+    bits, and fail on the same candidate.
     """
     n = w1.n
     postings = w2.index.postings
@@ -387,6 +403,11 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
             bucket[key] = value
             masses[bucket_key] += value
 
+    unions = [len(a) + len(b) - len(ids) for a, b, ids in zip(w1.sets, w2.sets, shared)]
+
+    def overlap_lost():
+        return any(len(a) + len(b) == u for a, b, u in zip(w1.sets, w2.sets, unions))
+
     sets = w1.sets  # the target's sets until its first merge copies them
     for key in _reached(shared, w2, range(n), 2):
         new_id = None
@@ -406,7 +427,7 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
     # Shared entries bring no new id, so absorbing them after the scan
     # leaves every other entry's classification unchanged.
     if common:
-        _merge(w1, w2, common, trace)
+        _merge(w1, w2, common, (), trace)
         moved_any = True
 
     while buckets and heap:
@@ -418,7 +439,7 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
             break
         entries = buckets.pop(bucket_key)
         del masses[bucket_key]
-        _merge(w1, w2, entries, trace)
+        _merge(w1, w2, entries, (bucket_key,), trace)
         moved_any = True
         mode, idx = bucket_key
         for key in postings[mode][idx]:
@@ -431,9 +452,9 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
                     heapq.heappush(heap, (-masses[new_ids[0]], new_ids[0]))
         if not w2.entries:
             break
-        if any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)):
-            break  # overlap gone on some mode, forced modes changed
-    return moved_any and (joined or any(w1.sets[m].isdisjoint(w2.sets[m]) for m in range(n)))
+        if overlap_lost():
+            break  # forced modes changed
+    return moved_any and (joined or overlap_lost())
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +492,7 @@ def splice_pair(
         q_modes = tuple(m for m, ids in enumerate(shared) if not ids)
         if not q_modes:
             more = _empty_q_drain(w1, w2, shared, trace)
-        elif index.rules_out_by_shared_ids(b2, w2.entries, q_modes, shared, w1.mass, w1.size):
+        elif index.rules_out_by_shared_ids(w2, q_modes, shared, w1.mass, w1.size):
             break  # even the heaviest candidate fails: the pass merges nothing
         else:
             more = _forced_pass(w1, w2, q_modes, shared, trace)

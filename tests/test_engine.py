@@ -19,9 +19,10 @@ from tensorsplice import (
     step,
 )
 import tensorsplice.engine
-from tensorsplice.engine import iter_rerun_outputs
+from tensorsplice.engine import _order_key, iter_rerun_outputs
 from tensorsplice.ingest import IngestConfig, ModeDictionary, parse_tuples
 from conftest import (
+    count_calls,
     examples,
     family_violations,
     ordered_pair,
@@ -267,6 +268,47 @@ class TestConfigValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             EngineConfig(**base)
+
+
+def eager_order_key(block: Block):
+    """The rank key with the canonical id tuples built for every block."""
+    return (
+        -(block.mass / block.size),
+        -block.mass,
+        block.size,
+        tuple(tuple(block.sorted_ids(m)) for m in range(block.n_modes)),
+    )
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(cells=st.lists(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+        st.integers(1, 2),
+        min_size=1,
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=8,
+))
+def test_lazy_tie_break_ranks_as_the_eager_key(cells):
+    # Few ids and two values make exact ties on density, mass and size
+    # common, and blocks with equal id sets tie on every part of the key.
+    pool = [Block(3, entries) for entries in cells]
+    lazy = sorted(pool, key=_order_key)
+    eager = sorted(pool, key=eager_order_key)
+    assert [block.serial for block in lazy] == [block.serial for block in eager]
+
+
+def test_ranking_sorts_ids_only_on_a_tie(monkeypatch):
+    sorts = count_calls(monkeypatch, Block, "sorted_ids")
+    untied = [Block(3, {(0, 0, 0): 1}), Block(3, {(0, 0, 0): 2}), Block(3, {(0, 1, 0): 3})]
+    assert sorted(untied, key=_order_key)[0].mass == 3
+    assert sorts == []
+    # Same density, mass and size: the id tuples decide, (0, ...) first.
+    tied = [Block(3, {(1, 0, 0): 2}), Block(3, {(0, 1, 0): 2})]
+    assert sorted(tied, key=_order_key) == tied[::-1]
+    assert sorts
 
 
 @st.composite

@@ -19,7 +19,8 @@ from tensorsplice import (
     splice_pair,
 )
 import tensorsplice.splice
-from tensorsplice.splice import _SpliceIndex
+from tensorsplice.blocks import running_sum
+from tensorsplice.splice import _SpliceIndex, _Working
 from conftest import (
     count_calls,
     empty_q_step,
@@ -31,6 +32,7 @@ from conftest import (
     ordered_pair,
     python312_sum,
     random_block,
+    recomputed_size,
     reference_splice,
     reference_splice_pair,
     required_new_modes,
@@ -486,7 +488,7 @@ def test_shared_id_bound_never_rejects_a_productive_pair(drawn):
             q_modes = required_new_modes(a, b)
             index = b._index or _SpliceIndex(b)
             if q_modes and index.rules_out_by_shared_ids(
-                b, b.entries, q_modes, shared_ids(a, b), a.mass, a.size
+                _Working(b, index), q_modes, shared_ids(a, b), a.mass, a.size
             ):
                 r1, r2 = reference_splice_pair(a, b)
                 assert r1 is a and r2 is b
@@ -520,8 +522,9 @@ def test_shared_id_bound_holds_within_rounding_of_the_merge_test(n_modes, data, 
     target = Block(n_modes, dict.fromkeys(keys, share))
     assume(target.mass * donor.size >= donor.mass * target.size)
     assert required_new_modes(target, donor) == q_modes
-    if _SpliceIndex(donor).rules_out_by_shared_ids(
-        donor, donor.entries, q_modes, shared_ids(target, donor), target.mass, target.size
+    index = _SpliceIndex(donor)
+    if index.rules_out_by_shared_ids(
+        _Working(donor, index), q_modes, shared_ids(target, donor), target.mass, target.size
     ):
         assert not heaviest * target.size > len(q_modes) * target.mass
         r1, r2 = reference_splice_pair(target, donor)
@@ -626,3 +629,146 @@ def test_drain_runs_again_after_a_rewalk_joins_a_bucket(monkeypatch):
     got = assert_matches_reference(target, donor)
     assert len(drains) == 2
     assert got[1].entries == {(6, 0, 0): 1.0}
+
+
+# ---------------------------------------------------------------------------
+# Kept counts: sizes, id sets and masses that no merge recounts
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(drawn=block_pools())
+def test_sizes_and_masses_are_kept_on_every_path(drawn):
+    pool, pairs = drawn
+    merge = tensorsplice.splice._merge
+
+    def recounted(w1, w2, entries, new_ids, trace):
+        merge(w1, w2, entries, new_ids, trace)
+        for working in (w1, w2):
+            assert working.sets == [{key[m] for key in working.entries} for m in range(working.n)]
+        assert w1.size == sum(map(len, w1.sets))
+        mass = running_sum(list(w1.entries.values()))
+        if isinstance(mass, int):
+            assert w1.mass == mass
+        else:  # keys the target held add up in another order
+            assert math.isclose(w1.mass, mass, rel_tol=1e-9)
+
+    slice_ = TensorSlice(pool[0].n_modes, (0, 1))
+    for block in pool:
+        adopted = Block._adopt(block.n_modes, dict(block.entries))
+        assert block.size == adopted.size == recomputed_size(block)
+        for key, value in block.entries.items():
+            slice_.add(Event(key, value))
+    for block in detect_top_blocks(slice_, 3):
+        assert block.size == recomputed_size(block)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensorsplice.splice, "_merge", recounted)
+        for _, _, got in splice_chain(pool, pairs):
+            for block in got:
+                assert block.size == recomputed_size(block)
+
+
+# ---------------------------------------------------------------------------
+# The shared-id bound against its eager form
+
+
+def eager_rules_out(index: _SpliceIndex, donor: _Working, q_modes, shared, mass, size):
+    """The shared-id bound with its second clause read from every live
+    entry's forced-mode combination, as it was before the donor's live id
+    counts settled it; returns the answer and the clause that gave it."""
+    entries = donor.entries
+    heaviest = index.vmax * math.prod(len(ids) for ids in shared if ids)
+    if not isinstance(donor.source.mass, int):
+        heaviest *= 1 + (len(entries) + 1) * 2.0**-50
+    q = len(q_modes)
+    if not splice_condition(heaviest, q, mass, size):
+        return True, "first clause"
+    if splice_condition(index.vmax, q, mass, size):
+        return False, "one entry passes"
+    combos = {tuple(key[m] for m in q_modes) for key in entries}
+    return len(combos) == len(entries), "combinations"
+
+
+def checked_bound(patch) -> list:
+    """Check every call of the shared-id bound against ``eager_rules_out``.
+    The returned list collects, per call, the number of forced modes, how
+    the answer was settled and the answer."""
+    bound = _SpliceIndex.rules_out_by_shared_ids
+    calls: list = []
+
+    def checked(index, donor, q_modes, shared, mass, size):
+        got = bound(index, donor, q_modes, shared, mass, size)
+        want, how = eager_rules_out(index, donor, q_modes, shared, mass, size)
+        assert got == want
+        if how == "combinations":
+            nnz = len(donor.entries)
+            if any(len(donor.sets[m]) == nnz for m in q_modes):
+                how = "a distinct mode"
+            else:
+                how = "one mode repeats" if len(q_modes) == 1 else "all combinations read"
+        calls.append((len(q_modes), how, got))
+        return got
+
+    patch.setattr(_SpliceIndex, "rules_out_by_shared_ids", checked)
+    return calls
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(drawn=block_pools())
+def test_shared_id_bound_matches_its_eager_form(drawn):
+    pool, pairs = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        checked_bound(patch)
+        for _ in splice_chain(pool, pairs):
+            pass
+
+
+# Per case: target, donor, and the (forced modes, settled by, result) of
+# each bound call, in order.
+BOUND_CASES = {
+    "one mode, distinct": (
+        {(0, 0, 0): 3, (0, 1, 0): 3, (1, 0, 0): 3, (1, 1, 0): 3},
+        {(0, 0, 1): 1, (1, 1, 2): 1},
+        [(1, "a distinct mode", True)],
+    ),
+    "one mode, repeated": (
+        {(0, 0, 0): 3, (0, 1, 0): 3, (1, 0, 0): 3, (1, 1, 0): 3},
+        {(0, 0, 1): 1, (1, 1, 1): 1},
+        [(1, "one mode repeats", False)],
+    ),
+    "two modes, distinct": (
+        TWO_BIN_TARGET,
+        {(5, 5, 0): 1, (6, 6, 1): 1},
+        [(2, "a distinct mode", True)],
+    ),
+    # The first pass merges the one repeated combination, (5, 5); the live
+    # donor left for the second pass repeats ids on both forced modes but
+    # no combination, so only reading every combination shows it.
+    "two modes, a later pass reads every combination": (
+        TWO_BIN_TARGET,
+        {(5, 5, 0): 1, (5, 5, 1): 1, (6, 7, 0): 1, (6, 8, 1): 1, (7, 7, 0): 1},
+        [(2, "all combinations read", False), (2, "all combinations read", True)],
+    ),
+    "three modes, distinct": (
+        {(0, 0, 0, t): 1 for t in range(4)},
+        {(5, 5, 5, 0): 1, (6, 6, 6, 1): 1, (7, 7, 7, 2): 1, (8, 8, 8, 3): 1},
+        [(3, "a distinct mode", True)],
+    ),
+    "three modes, every combination read": (
+        {(0, 0, 0, t): 1 for t in range(4)},
+        {(5, 5, 5, 0): 1, (5, 6, 6, 1): 1, (6, 5, 6, 2): 1},
+        [(3, "all combinations read", True)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND_CASES))
+@pytest.mark.parametrize("unit", [1, 0.1], ids=["int", "float"])
+def test_shared_id_bound_settles_its_second_clause(case, unit, monkeypatch):
+    target, donor, want = BOUND_CASES[case]
+    n_modes = len(next(iter(target)))
+    calls = checked_bound(monkeypatch)
+    assert_matches_reference(
+        Block(n_modes, {key: value * unit for key, value in target.items()}),
+        Block(n_modes, {key: value * unit for key, value in donor.items()}),
+    )
+    assert calls == want
