@@ -172,13 +172,14 @@ def _read_events(
     """Events parsed from a tuple file, or from stdin when ``path`` is
     ``-``, counted into ``counts["nnz"]``.
 
-    Input is read as UTF-8 whatever the locale. Bytes that are not UTF-8
-    end the read as an ingest error naming the file; the text layer
-    decodes in chunks, so no line number is known.
+    Input is read as UTF-8 whatever the locale, and one leading byte-order
+    mark is dropped. Bytes that are not UTF-8 end the read as an ingest
+    error naming the file; the text layer decodes in chunks, so no line
+    number is known.
     """
     stdin = path == "-"
     # File descriptor 0, not sys.stdin, so the locale cannot pick the codec.
-    with open(0 if stdin else path, "r", encoding="utf-8", closefd=not stdin) as handle:
+    with open(0 if stdin else path, "r", encoding="utf-8-sig", closefd=not stdin) as handle:
         try:
             for event in parse_tuples(handle, cfg, dicts):
                 counts["nnz"] += 1
@@ -245,7 +246,7 @@ def cmd_generate(args) -> int:
 
 def _read_truth(path: str) -> InjectedTruth:
     """The ground truth ``generate`` wrote; anything else is bad input."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             obj = json.load(handle)
         except ValueError as exc:  # also bytes that are not UTF-8

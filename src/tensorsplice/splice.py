@@ -36,11 +36,7 @@ put back in entry order, and every mass is added up in that order by the
 one summation rule, ``running_sum`` in ``blocks.py``, so merges and masses
 match a scan of the whole donor exactly. With forced modes, one walk
 collects each combination's keys and a candidate merges the keys its
-walk found. When every mode overlaps, a drain that runs out of passing
-candidates while every mode still overlaps ends the call, unless a
-re-walk added a key to a bucket that already held keys: a second drain
-would build the same candidates, with the same mass bits, and merge
-nothing.
+walk found.
 
 Nothing is recounted per merge. The target keeps its mass and size as it
 merges, and each merge names the ids it adds: none for shared entries, a
@@ -50,11 +46,11 @@ overlap is gone once the two blocks' id counts on it add up to their
 union, which moving entries does not change.
 
 A productive splice moves each input's index to the block that replaces
-it. Keys that stay, and keys a target gains, only append to the
-postings; only the ids of keys that left the block are filtered back to
-live keys, so a target's update never re-reads its postings. The
-input's cache is cleared and rebuilt if that block is ever spliced
-again.
+it. Keys a target gains only append to the postings, so a target's
+update never re-reads them. The donor's live id counts are the record of
+what left: an id at count 0 loses its postings, and only the others are
+filtered back to live keys. The input's cache is cleared and rebuilt if
+that block is ever spliced again.
 
 All density comparisons are cross-multiplied so integer-valued blocks are
 handled exactly. The pair splicer works on copy-on-write state, so a
@@ -149,24 +145,18 @@ class _SpliceIndex:
             return True
         return q > 1 and len(set(map(itemgetter(*q_modes), donor.entries))) == nnz
 
-    def update(self, entries: dict, moved: list[dict]) -> None:
+    def update(self, entries: dict, moved: list[dict], counts: list[dict[int, int]]) -> None:
         """Re-index after the dicts in ``moved`` were summed into or taken
-        out of ``entries``.
-
-        A key that stays only appends to the postings, so only the ids of
-        keys that left the block are filtered back to live keys.
-        """
+        out of ``entries``; ``counts[m]`` holds the live entry count of
+        every id on mode ``m`` that lost a key."""
         order = self.order
         postings = self.postings
         vmax = self.vmax
-        left: list[dict[int, None]] = [{} for _ in postings]
         for changed in moved:
             for key in changed:
                 value = entries.get(key)
                 if value is None:
                     del order[key]
-                    for mode, idx in enumerate(key):
-                        left[mode][idx] = None
                     continue
                 if value > vmax:
                     vmax = value
@@ -175,11 +165,10 @@ class _SpliceIndex:
                     self.next_ordinal += 1
                     for mode, idx in enumerate(key):
                         postings[mode].setdefault(idx, []).append(key)
-        for mode_postings, ids in zip(postings, left):
-            for idx in ids:
-                keys = [key for key in mode_postings[idx] if key in entries]
-                if keys:
-                    mode_postings[idx] = keys
+        for mode_postings, mode_counts in zip(postings, counts):
+            for idx, count in mode_counts.items():
+                if count:
+                    mode_postings[idx] = [key for key in mode_postings[idx] if key in entries]
                 else:
                     del mode_postings[idx]
         self.vmax = vmax
@@ -195,11 +184,11 @@ class _Working:
     Stays a read-only alias of its source until the first mutation; after
     that it owns private copies of the entry dict and id sets. Only a
     target keeps ``mass`` and ``size`` current, as only they are tested,
-    and a merge tells it the ids it gains. A donor's ``sets`` stay exact,
-    since ``shed`` drops an id with its last live entry. ``finish`` hands
-    back the untouched source or materializes a fresh block, moving the
-    source's index to it. A donor's postings are not updated until then,
-    so a walk skips keys already gone from ``entries``.
+    and a merge tells it the ids it gains. A donor keeps ``counts``, per
+    mode the live entry count of every id a shed touched, so its ``sets``
+    stay exact. ``finish`` hands back the untouched source or materializes
+    a fresh block, moving the source's index to it. A donor's postings are
+    not updated until then, so a walk skips keys already gone.
     """
 
     __slots__ = ("n", "entries", "sets", "mass", "size", "source", "index", "moved", "counts")
@@ -213,12 +202,7 @@ class _Working:
         self.source = block
         self.index = index
         self.moved: list[dict] = []  # dicts absorbed or shed, in order
-        # Set by the first shed, so only on a donor: per mode, the live
-        # entry count of every id a shed touched.
-        self.counts: list[dict[int, int]] | None = None
-
-    def density(self) -> float:
-        return self.mass / self.size
+        self.counts: list[dict[int, int]] = [{} for _ in range(self.n)]
 
     def _own(self) -> None:
         if self.entries is self.source.entries:
@@ -244,8 +228,6 @@ class _Working:
     def shed(self, removed: dict) -> None:
         """Remove donor entries, passed with their full values."""
         self._own()
-        if self.counts is None:
-            self.counts = [{} for _ in range(self.n)]
         entries = self.entries
         counts = self.counts
         postings = self.index.postings
@@ -271,7 +253,7 @@ class _Working:
         if index is not None:
             self.source._index = None
             if block.entries:
-                index.update(block.entries, self.moved)
+                index.update(block.entries, self.moved, self.counts)
                 block._index = index
         return block
 
@@ -279,11 +261,11 @@ class _Working:
 def _merge(w1: _Working, w2: _Working, entries: dict, new_ids, trace) -> None:
     """Move donor ``entries``, which bring the target ``new_ids``, into
     the target, tracing the density change."""
-    before = w1.density() if trace is not None else 0.0
+    before = w1.mass / w1.size if trace is not None else 0.0
     w1.absorb(entries, new_ids)
     w2.shed(entries)
     if trace is not None:
-        trace.append((before, w1.density()))
+        trace.append((before, w1.mass / w1.size))
 
 
 def _reached(shared, w2: _Working, modes, count: int):
@@ -363,7 +345,7 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, shared, trace) -> b
 
 def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
     """Run fully-overlapping passes to exhaustion without rescanning, and
-    return whether a further pass could merge.
+    return whether anything merged.
 
     Equivalent to repeating the one-shot pass while it keeps merging, but
     the donor is classified once: entries with a single unseen id feed a
@@ -374,20 +356,10 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
     caller then recomputes the forced modes). A mode has lost it when the
     two blocks' id counts on it add up to their union, taken once from
     ``shared``: a merge moves ids into the target and never out of both.
-
-    A merge makes only its bucket's id common, and tells the target so;
-    the shared entries add no id. So a merge creates no entry without
-    unseen ids, and the entries it leaves with one are those its re-walk
-    enrolls. A drain that stopped on a failing candidate, or ran out of
-    them, while every mode still overlaps is therefore final unless a
-    re-walk added a key to a bucket that already held keys: a second drain
-    would rebuild the same buckets, in entry order, with the same mass
-    bits, and fail on the same candidate.
     """
     n = w1.n
     postings = w2.index.postings
     moved_any = False
-    joined = False  # a re-walk added a key to a non-empty bucket
     common = {}
     buckets: dict[tuple[int, int], dict] = {}
     masses: dict[tuple[int, int], int | float] = {}
@@ -404,9 +376,6 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
             masses[bucket_key] += value
 
     unions = [len(a) + len(b) - len(ids) for a, b, ids in zip(w1.sets, w2.sets, shared)]
-
-    def overlap_lost():
-        return any(len(a) + len(b) == u for a, b, u in zip(w1.sets, w2.sets, unions))
 
     sets = w1.sets  # the target's sets until its first merge copies them
     for key in _reached(shared, w2, range(n), 2):
@@ -447,14 +416,13 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
             if value is not None:
                 new_ids = [(m, key[m]) for m in range(n) if key[m] not in w1.sets[m]]
                 if len(new_ids) == 1:
-                    joined = joined or new_ids[0] in buckets
                     enroll(key, value, new_ids[0])
                     heapq.heappush(heap, (-masses[new_ids[0]], new_ids[0]))
-        if not w2.entries:
-            break
-        if overlap_lost():
-            break  # forced modes changed
-    return moved_any and (joined or overlap_lost())
+        if not w2.entries or any(
+            len(a) + len(b) == u for a, b, u in zip(w1.sets, w2.sets, unions)
+        ):
+            break  # the donor ran dry, or the forced modes changed
+    return moved_any
 
 
 # ---------------------------------------------------------------------------

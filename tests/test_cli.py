@@ -102,6 +102,16 @@ class TestRun:
         assert code == 3
         assert f"error: [Errno {errno}]" in capsys.readouterr().err
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # Read as part of the first label, the mark would make "u18" two
+        # users; the first line of the output shows the difference.
+        marked = tmp_path / "bom.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (DATA / "golden_input.tsv").read_bytes())
+        out = tmp_path / "run.jsonl"
+        code = main(["run", "--input", str(marked), *RUN_FLAGS, "--k", "3", "--output", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert out.read_bytes() == (DATA / "golden_run.jsonl").read_bytes()
+
     def test_non_utf8_input_is_ingest_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.tsv"
         bad.write_bytes("a\tb\t100\t1\ncaf\xe9\tb\t100\t1\n".encode("latin-1"))
@@ -308,6 +318,14 @@ class TestPipes:
         result = piped(command, "--input", path, *RUN_FLAGS, "--k", "3", stdin=self.GOLDEN)
         assert result.returncode == 0, result.stderr
         assert result.stdout == (DATA / f"golden_{command}.jsonl").read_bytes()
+
+    def test_leading_byte_order_mark_on_stdin_is_ignored(self):
+        result = piped("run", "--input", "-", "--stride", "100", "--t0", "0",
+                       "--value-col", "3", "--k", "1",
+                       stdin=b"\xef\xbb\xbfa\tb\t5\t1\na\tb\t6\t1\n")
+        assert result.returncode == 0, result.stderr
+        block = json.loads(result.stdout)["blocks"][0]
+        assert block["modes"][0] == ["a"] and block["mass"] == 2 and block["size"] == 3
 
     def test_evaluate_reads_stdin(self):
         truth = str(DATA / "golden_truth.json")
@@ -525,6 +543,11 @@ class TestEvaluate:
     def test_well_formed_truth_is_read(self, tmp_path):
         truth = tmp_path / "t.json"
         truth.write_text(TRUTH)
+        assert tensorsplice.cli._read_truth(str(truth)).mode_ids == [["a"]]
+
+    def test_truth_with_a_byte_order_mark_is_read(self, tmp_path):
+        truth = tmp_path / "t.json"
+        truth.write_bytes(b"\xef\xbb\xbf" + TRUTH.encode())
         assert tensorsplice.cli._read_truth(str(truth)).mode_ids == [["a"]]
 
     def test_bin_past_2_pow_53_is_input_error(self, tmp_path, capsys):

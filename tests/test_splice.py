@@ -440,6 +440,18 @@ def assert_fresh(index: _SpliceIndex, block: Block) -> None:
     assert index.vmax >= fresh.vmax == max(block.entries.values())
 
 
+def test_donor_index_drops_the_ids_its_sheds_emptied():
+    # Forced on items, the pass merges (0, 1) and then (0, 2) (4.5 * 3 >
+    # 13), and the next pass fails on (7, 1). User 0 and item 2 lose every
+    # key; item 1 keeps (7, 1) of its two postings, and user 7 loses none.
+    target = Block(2, {(0, 0): 8})
+    donor = Block(2, {(0, 1): 5, (7, 1): 1, (0, 2): 4.5, (7, 7): 1})
+    got = assert_matches_reference(target, donor)
+    assert got[1].entries == {(7, 1): 1, (7, 7): 1}
+    assert got[1]._index is not None
+    assert_fresh(got[1]._index, got[1])
+
+
 @settings(max_examples=examples(300), deadline=None)
 @given(drawn=block_pools())
 def test_moved_index_matches_fresh_index(drawn):
@@ -599,20 +611,33 @@ def test_bound_lets_a_repeated_combination_through(monkeypatch):
     assert got[1].entries == {(6, 6, 1): 1}
 
 
+# Every mode overlaps. A drain moves the shared (0, 0, 0) for free, merges
+# time 9 (19 * 3 > 14, in units) and stops on user 5 and item 7, whose
+# entries keep every mode overlapping.
+DRAIN_TARGET = {(0, 0, 0): 12}
+DRAIN_DONOR = {(0, 0, 0): 2, (5, 0, 0): 1, (0, 7, 0): 1, (0, 0, 9): 19}
+
+
 @pytest.mark.parametrize("unit", [1, 0.1], ids=["int", "float"])
-def test_drain_that_stops_on_a_failing_candidate_is_final(unit, monkeypatch):
-    # Every mode overlaps. The drain moves the shared (0, 0, 0) for free,
-    # merges time 9 (19 * 3 > 14, in units) and stops on user 5 and
-    # item 7, whose entries keep every mode overlapping. No re-walk joined
-    # a bucket, so a second drain would fail on the same candidate.
-    target = Block(3, {(0, 0, 0): 12 * unit})
-    donor = Block(3, {
-        (0, 0, 0): 2 * unit, (5, 0, 0): 1 * unit, (0, 7, 0): 1 * unit, (0, 0, 9): 19 * unit,
-    })
-    drains = count_calls(monkeypatch, tensorsplice.splice, "_empty_q_drain")
+def test_drain_that_stops_on_a_failing_candidate_is_final(unit):
+    target = Block(3, {key: value * unit for key, value in DRAIN_TARGET.items()})
+    donor = Block(3, {key: value * unit for key, value in DRAIN_DONOR.items()})
     got = assert_matches_reference(target, donor)
-    assert len(drains) == 1
     assert got[1].entries == {(5, 0, 0): 1 * unit, (0, 7, 0): 1 * unit}
+
+
+def test_target_index_only_gains_keys():
+    # The drain sums the shared (0, 0, 0) into a key the target holds and
+    # adds (0, 0, 9), raising vmax; no target posting is re-read.
+    target = Block(3, DRAIN_TARGET)
+    index = target._index = _SpliceIndex(target)
+    postings = [dict(mode_postings) for mode_postings in index.postings]
+    got = splice_pair(target, Block(3, DRAIN_DONOR))
+    assert got[0]._index is index and target._index is None
+    assert_fresh(index, got[0])
+    assert index.vmax == 19
+    for mode_postings, before in zip(index.postings, postings):
+        assert all(mode_postings[idx] is keys for idx, keys in before.items())
 
 
 def test_drain_runs_again_after_a_rewalk_joins_a_bucket(monkeypatch):
