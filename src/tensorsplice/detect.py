@@ -12,24 +12,30 @@ blocks are entry-disjoint. They come back ordered by non-increasing density.
 A detect call indexes the slice once (a ``PeelIndex``) in flat lists over
 one id space. Entries are numbered in entry order. Each (mode, id) pair is
 numbered by a gid: the mode's offset plus the id's rank within its mode, so
-each mode owns one range of gids, in mode order, and ``(mass, gid)`` heap
-records sort exactly like ``(mass, mode, id)``. Per entry the index holds
-its key, its value and its gid in each mode, and a ``bytearray`` marks the
-live entries. Per gid it holds a mass (``None`` once the id is gone) and a
-live entry count. The postings are CSR: one flat list holds every gid's
-entry numbers, grouped by gid, and an offsets array gives where each gid's
-group starts; its live entries, in entry order, fill the front of the
-group. One heap holds ``(mass, gid)`` records, whose outdated ones are
-skipped lazily. Every run peels copies of the live marks, masses, counts
-and heap and shares the rest read-only. After a run, the found block's
-entries leave the index, and each gid the block touched has its group
-compacted, its count and mass recomputed from its remaining entries, and
-one fresh heap record.
+each mode owns one range of gids, in mode order, and ``(mass, gid)`` sorts
+exactly like ``(mass, mode, id)``. Per entry the index holds its key, its
+value and its gid in each mode, and a ``bytearray`` marks the live entries.
+Per gid it holds a mass (``None`` once the id is gone) and a live entry
+count. The postings are CSR: one flat list holds every gid's entry numbers,
+grouped by gid in entry order, and an offsets array gives where each gid's
+group starts. One heap holds a record per gid, and outdated records are
+skipped lazily. When every value is an int, a record is the int ``mass * G
++ gid``, with G the gid count, which sorts exactly like ``(mass, gid)`` and
+compares faster; otherwise it is that tuple. Every run peels copies of
+the live marks, masses, counts and heap and shares the rest read-only.
+
+The groups are fixed at the build: a removed entry stays in every group it
+sits in, dead in the live marks, and walks skip it. After a run, the found
+block's entries leave the index and their values become 0. Each gid the
+block touched loses its removed entries from its live count and dies at 0;
+every other one re-sums its whole group in entry order and gets one fresh
+heap record.
 
 The result is exactly that of indexing the remainder from scratch before
-every run. Postings keep entry order, and a gid's mass is added up over
-its entries in that order by the one summation rule, ``running_sum`` in
-``blocks.py``, so float masses match bit for bit.
+every run. A gid's mass is added up over its entries in entry order by the
+one summation rule, ``running_sum`` in ``blocks.py``, and adding the zeros
+of removed entries leaves a float sum's bits unchanged, so float masses
+match bit for bit.
 
 Inside a run, a removed entry lowers the mass of its gid in every other
 mode, but only marks that gid dirty; the next pick pushes one record per
@@ -83,12 +89,16 @@ class PeelIndex:
     and gid ``ids[mode][e]`` in each mode; mode ``m`` owns the gids from
     ``starts[m]`` up to ``starts[m + 1]``. ``number`` maps each live key to
     its entry number, and ``alive[e]`` is set while entry ``e`` is live. A
-    gid ``g`` is live while its mass is not ``None``, and its live entries,
-    in entry order, are ``postings[offsets[g]:offsets[g] + counts[g]]``.
+    gid ``g`` is live while its mass is not ``None``; its group, in entry
+    order, is ``postings[offsets[g]:offsets[g + 1]]``, fixed at the build,
+    so it keeps its removed entries, and ``counts[g]`` of them are live.
+    With int values ``scale`` is the gid count and a heap record is the int
+    ``mass * scale + gid``; otherwise ``scale`` is ``None`` and a record is
+    the tuple ``(mass, gid)``.
     """
 
-    __slots__ = ("n_modes", "keys", "values", "number", "alive", "ids",
-                 "starts", "masses", "counts", "offsets", "postings", "heap")
+    __slots__ = ("n_modes", "keys", "values", "number", "alive", "ids", "starts",
+                 "masses", "counts", "offsets", "postings", "scale", "heap")
 
     def __init__(self, n_modes: int, entries: dict):
         self.n_modes = n_modes
@@ -120,27 +130,27 @@ class PeelIndex:
             starts.append(len(gids))
         # Fixed after the build, so kept unboxed: 8 bytes per gid.
         self.offsets = array("q", accumulate(counts, initial=0))
-        self.heap = list(zip(masses, gids))
+        self.scale = scale = len(gids) if type(running_sum(values)) is int else None
+        self.heap = ([m * scale + g for g, m in enumerate(masses)] if scale
+                     else list(zip(masses, gids)))
         heapq.heapify(self.heap)
 
     def remove(self, block: Block) -> None:
-        """Delete a block's entries and re-index every gid they touched."""
+        """Delete a block's entries and re-sum every gid they touched."""
         number, alive, values = self.number, self.alive, self.values
         masses, counts, offsets, postings = self.masses, self.counts, self.offsets, self.postings
         gone = [number.pop(key) for key in block.entries]
         for e in gone:
             alive[e] = 0
-            values[e] = 0  # so running_sum(values) is the live total
-        for g in {ids[e] for ids in self.ids for e in gone}:
-            start = offsets[g]
-            live = [e for e in postings[start:start + counts[g]] if alive[e]]
-            postings[start:start + len(live)] = live
-            counts[g] = len(live)
-            if not live:
+            values[e] = 0  # so a re-sum over a whole group is the live mass
+        for g, removed in Counter([ids[e] for ids in self.ids for e in gone]).items():
+            counts[g] -= removed
+            if not counts[g]:
                 masses[g] = None
                 continue
-            masses[g] = mass = running_sum([values[e] for e in live])
-            heapq.heappush(self.heap, (mass, g))
+            group = postings[offsets[g]:offsets[g + 1]]
+            masses[g] = mass = running_sum(list(map(values.__getitem__, group)))
+            heapq.heappush(self.heap, mass * self.scale + g if self.scale else (mass, g))
 
 
 def peel_once(working: PeelIndex) -> Block:
@@ -153,12 +163,13 @@ def peel_once(working: PeelIndex) -> Block:
     nnz = len(working.number)
     if not nnz:
         raise ValueError("cannot peel an empty block")
-    values, starts = working.values, working.starts
-    postings, offsets, group_sizes = working.postings, working.offsets, working.counts
+    values, starts, scale = working.values, working.starts, working.scale
+    postings, offsets = working.postings, working.offsets
     alive = working.alive[:]
     masses = working.masses[:]
     counts = working.counts[:]
     heap = working.heap[:]
+    split = scale.__rdivmod__ if scale else tuple  # record -> (mass, gid); tuple(t) is t
     dirty: set[int] = set()
     # Per mode, the entry-to-gid lists of every other mode.
     others = [working.ids[:mode] + working.ids[mode + 1:] for mode in range(working.n_modes)]
@@ -175,10 +186,10 @@ def peel_once(working: PeelIndex) -> Block:
         for g in dirty:
             mass = masses[g]
             if mass is not None:
-                heappush(heap, (mass, g))
+                heappush(heap, mass * scale + g if scale else (mass, g))
         dirty.clear()
         while True:
-            mu, g = heap[0]
+            mu, g = split(heap[0])
             if masses[g] == mu:
                 break
             heappop(heap)
@@ -187,18 +198,18 @@ def peel_once(working: PeelIndex) -> Block:
         if mu * size <= total:  # mu <= total/size, round-start total/size
             batch = False
             doomed: list[int] = []
-            spared: list[tuple] = []
+            spared = []
             while heap:
-                mass, g = heap[0]
+                mass, g = split(heap[0])
                 if masses[g] != mass:
                     heappop(heap)
                 elif mass * size <= total:
-                    heappop(heap)
+                    record = heappop(heap)
                     if lo <= g < hi:
                         masses[g] = None
                         doomed.append(g)
                     else:
-                        spared.append((mass, g))
+                        spared.append(record)
                 else:
                     break
             for record in spared:
@@ -217,8 +228,7 @@ def peel_once(working: PeelIndex) -> Block:
             overtaken = False
             for g in doomed:
                 size -= 1
-                start = offsets[g]
-                for e in postings[start:start + group_sizes[g]]:
+                for e in postings[offsets[g]:offsets[g + 1]]:
                     if not alive[e]:
                         continue
                     alive[e] = 0
@@ -244,7 +254,7 @@ def peel_once(working: PeelIndex) -> Block:
             if not batch or overtaken or len(removal_log) == nnz:
                 break
             while True:  # entries are left, so mode m's live gids have records
-                mass, g = heap[0]
+                mass, g = split(heap[0])
                 if masses[g] == mass:
                     break
                 heappop(heap)

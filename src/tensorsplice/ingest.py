@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -35,6 +36,11 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "tensorsplice/1"
+
+# The ISO 8601 forms ``--time-format iso`` reads. ``fromisoformat`` reads more
+# from 3.11 on, so it runs only on what this matches, alike on every Python.
+ISO_TIMESTAMP = re.compile(r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}(?::\d{2}(?:\.\d{3}|\.\d{6})?)?"
+                           r"(?:Z|[+-]\d{2}:\d{2})?)?", re.ASCII)
 
 # The most one input's values may sum to. With fewer than 2**53 tuples and
 # 2**10 modes, every ``mass * size``, ``q * mass`` and ``mu * size`` stays
@@ -109,6 +115,10 @@ class ModeDictionary:
     def decode(self, mode: int, idx: int) -> str | int:
         return self._to_raw[mode][idx] if mode < len(self._to_raw) else idx
 
+    def decode_all(self, mode: int, ids: list[int]) -> list:
+        """``decode`` over a list of ids, with one lookup of the table."""
+        return list(map(self._to_raw[mode].__getitem__, ids)) if mode < len(self._to_raw) else ids
+
 
 def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
     if fmt == "epoch":
@@ -120,7 +130,9 @@ def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
             raise BadTimestamp(f"non-finite timestamp: {raw!r}", lineno)
         return ts
     try:
-        parsed = datetime.fromisoformat(raw)
+        if not ISO_TIMESTAMP.fullmatch(raw):
+            raise ValueError
+        parsed = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError:
         raise BadTimestamp(f"not an ISO-8601 timestamp: {raw!r}", lineno) from None
     if parsed.tzinfo is None:
@@ -261,8 +273,7 @@ def block_payload(block: Block, dicts: ModeDictionary) -> dict:
         "mass": _number(block.mass),
         "size": block.size,
         "modes": [
-            [dicts.decode(m, idx) for idx in block.sorted_ids(m)]
-            for m in range(block.n_modes)
+            dicts.decode_all(m, block.sorted_ids(m)) for m in range(block.n_modes)
         ],
     }
 

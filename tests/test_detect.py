@@ -214,9 +214,9 @@ def test_batch_stop_case_is_the_same_under_python312_sum():
 
 
 def group(index: PeelIndex, g: int) -> list[int]:
-    """The live entry numbers of gid ``g``, from its CSR group."""
-    start = index.offsets[g]
-    return index.postings[start:start + index.counts[g]]
+    """The live entry numbers of gid ``g``, from its fixed CSR group."""
+    fixed = index.postings[index.offsets[g]:index.offsets[g + 1]]
+    return [e for e in fixed if index.alive[e]]
 
 
 def by_id(index: PeelIndex) -> list[dict]:
@@ -236,7 +236,8 @@ def by_id(index: PeelIndex) -> list[dict]:
 def live_records(index: PeelIndex) -> list[set]:
     """Per mode, the heap records that still match their id's mass, by id."""
     records = [set() for _ in range(index.n_modes)]
-    for mass, g in index.heap:
+    for record in index.heap:
+        mass, g = divmod(record, index.scale) if index.scale else record
         if index.masses[g] == mass:
             mode = bisect_right(index.starts, g) - 1
             records[mode].add((mass, index.keys[group(index, g)[0]][mode]))
@@ -262,3 +263,55 @@ def test_index_after_removal_matches_fresh_index(source):
             {(mass, idx) for idx, (mass, _, _) in table.items()}
             for table in by_id(fresh)
         ]
+
+
+def test_int_records_break_mass_ties_by_mode_then_id():
+    # Every id of both modes weighs 2, so the heap order is the tie-break
+    # alone: an int record must sort as (mass, mode, id), like a tuple.
+    entries = {(0, 0): 1, (0, 1): 1, (1, 1): 1, (1, 2): 1, (2, 2): 1, (2, 0): 1, (3, 3): 2}
+    index = PeelIndex(2, entries)
+    assert index.scale == 8
+    assert [divmod(record, index.scale) for record in sorted(index.heap)] == [
+        (2, g) for g in range(8)
+    ]
+    assert detect_top_blocks(slice_of(entries, 2), 3) == reference_detect(mk(entries, 2), 3)
+
+
+def test_values_above_2_pow_63_peel_exactly():
+    # As floats the first three values would be equal.
+    big = 2**64
+    entries = {(0, 0, 0): big, (0, 1, 0): big + 1, (1, 1, 0): big - 1, (2, 2, 1): 3, (1, 2, 1): big}
+    assert PeelIndex(3, entries).scale == 8
+    got = detect_top_blocks(slice_of(entries), 4)
+    want = reference_detect(mk(entries), 4)
+    assert got == want
+    assert [b.mass for b in got] == [b.mass for b in want]
+
+
+def test_one_float_value_takes_tuple_records():
+    entries = {(0, 0, 0): 3, (0, 1, 0): 2, (1, 1, 0): 0.5, (2, 2, 1): 1}
+    index = PeelIndex(3, entries)
+    assert index.scale is None
+    assert all(type(record) is tuple for record in index.heap)
+    got = detect_top_blocks(slice_of(entries), 3)
+    want = reference_detect(mk(entries), 3)
+    assert got == want
+    assert [b.mass for b in got] == [b.mass for b in want]
+
+
+def test_removal_kills_emptied_ids_and_keeps_dead_entries_in_shared_groups():
+    # A 2x2 core of 5s in bin 0, and light entries in bins 0 and 1. The core
+    # leaves users 0 and 1 without entries; bin 0 keeps its light entry.
+    entries = {(u, i, 0): 5 for u in (0, 1) for i in (0, 1)}
+    entries.update({(2, 2, 0): 1, (2, 3, 1): 1, (3, 3, 1): 2})
+    index = PeelIndex(3, entries)
+    first = peel_once(index)
+    assert first.entries == {(u, i, 0): 5 for u in (0, 1) for i in (0, 1)}
+    index.remove(first)
+    user0, bin0 = 0, index.starts[2]
+    assert index.masses[user0] is None and index.counts[user0] == 0
+    fixed = index.postings[index.offsets[bin0]:index.offsets[bin0 + 1]]
+    assert [index.alive[e] for e in fixed] == [0, 0, 0, 0, 1]
+    assert (index.counts[bin0], index.masses[bin0]) == (1, 1)
+    rest = {key: value for key, value in entries.items() if key not in first.entries}
+    assert peel_once(index) == reference_detect(mk(rest), 1)[0]

@@ -134,6 +134,36 @@ class TestParsing:
             time.tzset()
         assert [e.ids[-1] for e in events] == [0, 0]
 
+    # One grammar on every Python: what 3.11's fromisoformat reads beyond
+    # it (basic format, week dates, one fraction digit) is bad input, and a
+    # trailing Z reads as UTC although 3.10's fromisoformat rejects it.
+    @pytest.mark.parametrize("raw, epoch", [
+        ("2024-01-01", 1704067200),
+        ("2024-01-01T10:00", 1704103200),
+        ("2024-01-01 10:00:05", 1704103205),
+        ("2024-01-01T10:00:05.250", 1704103205.25),
+        ("2024-01-01T10:00:05.250000", 1704103205.25),
+        ("2024-01-01T10:00:05Z", 1704103205),
+        ("2024-01-01T10:00:05+01:00", 1704099605),
+        ("2024-01-01T10:00-05:30", 1704123000),
+    ])
+    def test_iso_grammar_accepts(self, raw, epoch):
+        events, _ = parse_all(["a,b,2024-01-01T00:00:00Z", f"a,b,{raw}"],
+                              csv_cfg(stride=1, time_format="iso", t0=0))
+        assert events[1].ids[-1] == int(epoch)
+
+    @pytest.mark.parametrize("raw", [
+        "2024-01-01T00:00:00.5", "20240101T000000", "2024-W01-1", "2024-001",
+        "2024-01-01Z", "2024-01-01T00:00:00+0100", "2024-01-01T00:00:00+01:00:00",
+        "2024-01-01T00:00:00.1234", "2024-01-01T00", "2024-01-01x00:00",
+        "\uff12\uff10\uff12\uff14-01-01", "2024-13-01", "2024-01-01T24:00",
+        "2024-01-01T00:00+24:00", "2024-01-01T00:00:00z",
+    ])
+    def test_iso_grammar_rejects_with_line_number(self, raw):
+        with pytest.raises(BadTimestamp) as info:
+            parse_all(["a,b,2024-01-01", f"a,b,{raw}"], csv_cfg(time_format="iso"))
+        assert str(info.value) == f"line 2: not an ISO-8601 timestamp: {raw!r}"
+
     def test_float_values_supported(self):
         events, _ = parse_all(["a,b,100,0.5"], csv_cfg(value_col=3))
         assert events[0].value == 0.5

@@ -1,9 +1,10 @@
-"""The work behind `steady` stream 0 at the benchmark's default seed.
+"""The work behind `steady` and `oracle` stream 0 at the benchmark's
+default seed.
 
 A change that keeps the output bytes must also keep the splices and peels
-that produce them. The stream parameters are those of the `steady`
-workload in ``bench/design.json``; calls are counted as ``bench/tracer.py``
-counts them, through the module globals the package calls.
+that produce them. The stream parameters are those of the workloads in
+``bench/design.json``; calls are counted as ``bench/tracer.py`` counts them,
+through the module globals the package calls.
 """
 
 import hashlib
@@ -25,12 +26,50 @@ STEADY = synth.InjectionSpec(
     seed=10000,
 )
 DIGEST = "aafee183d80b446ff0105ff8ba893c34131a14142cc8b3d0e81e150d1af6f94c"
+ORACLE = synth.InjectionSpec(
+    block_shape=(40, 20),
+    density=0.3,
+    span_bins=4,
+    n_bins=7,
+    background_tuples=14000,
+    background_shape=(20000, 10000),
+    start_bin=2,
+    seed=10000,
+)
+ORACLE_DIGEST = "7dc80dd93771c00ad132723c1bfa4c2f021464c7a9ec88bbcba37a9d5db63352"
+
+
+def count_peels(monkeypatch) -> list:
+    """Wrap ``peel_once`` for one test; the list collects each run's nnz."""
+    peel_once = tensorsplice.detect.peel_once
+    peeled: list = []
+
+    def counted_peel(working):
+        block = peel_once(working)
+        peeled.append(block.nnz)
+        return block
+
+    monkeypatch.setattr(tensorsplice.detect, "peel_once", counted_peel)
+    return peeled
+
+
+def run_digest(command: str, spec, tmp_path, capsys) -> str:
+    """The sha256 of ``command``'s output on the stream ``spec`` generates,
+    at ``--k 10 --l 5``."""
+    lines, truth = synth.generate_stream(spec)
+    stream = tmp_path / "stream.tsv"
+    stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = main([
+        command, "--input", str(stream), "--modes", "0,1", "--time-col", "2",
+        "--value-col", "3", "--stride", str(truth.stride), "--t0", str(truth.t0),
+        "--k", "10", "--l", "5", "--output", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_steady_stream_work_counters(tmp_path, monkeypatch, capsys):
-    lines, truth = synth.generate_stream(STEADY)
-    stream = tmp_path / "steady.tsv"
-    stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
     splices = {"calls": 0, "productive_calls": 0, "donor_nnz": 0, "mass_moved": 0}
     splice_pair = tensorsplice.engine.splice_pair
 
@@ -45,16 +84,19 @@ def test_steady_stream_work_counters(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(tensorsplice.engine, "splice_pair", counted_splice)
     detects = count_calls(monkeypatch, tensorsplice.engine, "detect_top_blocks")
-    peels = count_calls(monkeypatch, tensorsplice.detect, "peel_once")
-    out = tmp_path / "run.jsonl"
-    code = main([
-        "run", "--input", str(stream), "--modes", "0,1", "--time-col", "2",
-        "--value-col", "3", "--stride", str(truth.stride), "--t0", str(truth.t0),
-        "--k", "10", "--l", "5", "--output", str(out),
-    ])
-    assert code == 0, capsys.readouterr().err
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGEST
+    peeled = count_peels(monkeypatch)
+    assert run_digest("run", STEADY, tmp_path, capsys) == DIGEST
     assert splices == {
         "calls": 2849, "productive_calls": 495, "donor_nnz": 914741, "mass_moved": 19451,
     }
-    assert (len(detects), len(peels)) == (10, 46)
+    assert (len(detects), len(peeled), sum(peeled)) == (10, 46, 15959)
+
+
+def test_oracle_stream_work_counters(tmp_path, monkeypatch, capsys):
+    # The re-run baseline detects on the whole accumulated tensor at every
+    # stride and never splices.
+    splices = count_calls(monkeypatch, tensorsplice.engine, "splice_pair")
+    detects = count_calls(monkeypatch, tensorsplice.engine, "detect_top_blocks")
+    peeled = count_peels(monkeypatch)
+    assert run_digest("oracle", ORACLE, tmp_path, capsys) == ORACLE_DIGEST
+    assert (len(splices), len(detects), len(peeled), sum(peeled)) == (0, 7, 40, 59276)
