@@ -18,14 +18,6 @@ from .errors import (
 )
 from .ingest import IngestConfig, ModeDictionary, emit_step_output, parse_tuples
 from .splice import splice_condition, splice_pair
-from .synth import (
-    InjectedTruth,
-    InjectionSpec,
-    generate_stream,
-    rerun_scaling_run,
-    scaling_run,
-    score,
-)
 
 __version__ = "0.1.0"
 
@@ -45,12 +37,6 @@ __all__ = [
     "parse_tuples",
     "splice_condition",
     "splice_pair",
-    "InjectedTruth",
-    "InjectionSpec",
-    "generate_stream",
-    "rerun_scaling_run",
-    "scaling_run",
-    "score",
     "TensorSpliceError",
     "ShapeMismatch",
     "DegenerateBlock",

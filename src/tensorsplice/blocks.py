@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import add, itemgetter
 
@@ -53,15 +53,13 @@ def running_sum(values):
     return reduce(add, values, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(namedtuple("Event", "ids value", defaults=(1,))):
     """One time-stamped tuple: a dense id per mode plus a positive value.
 
     ``ids[-1]`` is the time-bin ordinal assigned at ingestion.
     """
 
-    ids: tuple
-    value: int | float = 1
+    __slots__ = ()
 
 
 class TensorSlice:
@@ -82,14 +80,13 @@ class TensorSlice:
 
     def add(self, event: Event) -> None:
         """Accumulate one event; duplicate keys sum their values."""
-        if len(event.ids) != self.n_modes:
-            raise ShapeMismatch(
-                f"event has {len(event.ids)} ids, slice expects {self.n_modes}"
-            )
-        if not 0 < event.value <= sys.float_info.max:
+        ids, value = event  # one unpack reads faster than five field lookups
+        if len(ids) != self.n_modes:
+            raise ShapeMismatch(f"event has {len(ids)} ids, slice expects {self.n_modes}")
+        if not 0 < value <= sys.float_info.max:
             raise ValueError("slice entries must have positive finite values")
-        key = tuple(event.ids)
-        value = self.entries.get(key, 0) + event.value
+        key = tuple(ids)
+        value = self.entries.get(key, 0) + value
         if value > sys.float_info.max:
             raise ValueError(f"entry {key!r} accumulates past the largest float")
         self.entries[key] = value

@@ -17,7 +17,9 @@ written and an output path that names the command's input (``run``,
 ``oracle``, ``evaluate``) or its other output (``generate``), which is
 refused before any file is written.
 Detection output never contains wall-clock numbers, so a fixed input and
-seed reproduce byte-identical files; timings go to stderr.
+seed reproduce byte-identical files; timings go to stderr. The generator
+and scorer (``synth``) are imported by the commands that use them, so
+``run`` and ``oracle`` start without loading them.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ from .ingest import (
     ModeDictionary,
     emit_step_output,
     parse_tuples,
-)
-from .synth import (
-    InjectedTruth,
-    InjectionSpec,
-    generate_stream,
-    rerun_scaling_run,
-    scaling_run,
-    score,
 )
 
 
@@ -221,6 +215,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .synth import InjectionSpec, generate_stream
     if _same_file(args.output, args.truth):
         raise ConfigError(f"--truth {args.truth} is the --output file")
     spec = InjectionSpec(
@@ -244,8 +239,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_truth(path: str) -> InjectedTruth:
-    """The ground truth ``generate`` wrote; anything else is bad input."""
+def _read_truth(path: str):
+    """The ground truth ``generate`` wrote, as an ``InjectedTruth``;
+    anything else is bad input."""
+    from .synth import InjectedTruth
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             obj = json.load(handle)
@@ -258,6 +255,7 @@ def _read_truth(path: str) -> InjectedTruth:
 
 
 def cmd_evaluate(args) -> int:
+    from .synth import score
     _refuse_overwrite(args, "input", "truth")
     truth = _read_truth(args.truth)
     if args.per_entry and truth.cells is None:
@@ -299,6 +297,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scale(args) -> int:
+    from .synth import rerun_scaling_run, scaling_run
     cfg = _engine_config(args)
     sizes = _csv_ints(args.sizes)
     # Checked before any timing, so a bad flag fails at once.

@@ -22,7 +22,7 @@ splices pairs that involve a new seed or a block changed since.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .blocks import Block, Event, TensorSlice
@@ -31,8 +31,7 @@ from .errors import ConfigError, OutOfOrderSlice, TimeRegression
 from .splice import _denser_first, splice_pair
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(namedtuple("EngineConfig", "k l max_epochs")):
     """Stream-tracking knobs.
 
     ``k`` blocks are reported, ``l`` extra ones are retained as splice
@@ -40,42 +39,46 @@ class EngineConfig:
     ingestion, so the engine consumes bin ordinals.
     """
 
-    k: int = 10
-    l: int = 5
-    max_epochs: int = 5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int = 10, l: int = 5, max_epochs: int = 5):
+        if k < 1:
             raise ConfigError("k must be at least 1")
-        if self.l < 0:
+        if l < 0:
             raise ConfigError("l must be non-negative")
-        if self.max_epochs < 1:
+        if max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
+        return super().__new__(cls, k, l, max_epochs)
 
     @property
     def pool_size(self) -> int:
         return self.k + self.l
 
 
-@dataclass
 class EngineState:
     """Retained blocks, the time frontier and the sterile-pair memo,
     between steps."""
 
-    retained: list[Block] = field(default_factory=list)
-    frontier: int = 0  # next bin ordinal to be processed, and the step index
-    # Serial pairs (pool order) that splice_pair returned unchanged, kept
-    # only for pairs of retained blocks.
-    sterile: set[tuple[int, int]] = field(default_factory=set)
+    __slots__ = ("retained", "frontier", "sterile")
+
+    def __init__(self, retained: list[Block] | None = None, frontier: int = 0,
+                 sterile: set[tuple[int, int]] | None = None):
+        self.retained = [] if retained is None else retained
+        self.frontier = frontier  # next bin ordinal to be processed, and the step index
+        # Serial pairs (pool order) that splice_pair returned unchanged, kept
+        # only for pairs of retained blocks.
+        self.sterile = set() if sterile is None else sterile
 
 
-@dataclass
 class StepOutput:
     """What one step reports: the top blocks and how long the phases took."""
 
-    time_range: tuple[int, int]
-    top_k: list[Block]
-    timing: dict[str, float]
+    __slots__ = ("time_range", "top_k", "timing")
+
+    def __init__(self, time_range: tuple[int, int], top_k: list[Block], timing: dict[str, float]):
+        self.time_range = time_range
+        self.top_k = top_k
+        self.timing = timing
 
 
 class _TieBreak:

@@ -14,12 +14,9 @@ stride apply to extra time-binned columns.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
 from .blocks import Block, Event
@@ -32,8 +29,6 @@ from .errors import (
     NegativeValue,
     TimeRegression,
 )
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "tensorsplice/1"
 
@@ -49,41 +44,48 @@ ISO_TIMESTAMP = re.compile(r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}(?::\d{2}(?:\.\d
 MASS_CEILING = sys.float_info.max / 2**66
 
 
-@dataclass
 class IngestConfig:
     """Column roles and binning for one tuple file."""
 
-    mode_cols: tuple[int, ...]
-    time_col: int
-    stride: int | float
-    value_col: int | None = None
-    binned_cols: tuple[int, ...] = ()
-    t0: int | float | None = None
-    delimiter: str = "\t"
-    time_format: str = "epoch"  # or "iso"
-    has_header: bool = False
-    on_error: str = "abort"  # or "skip"
+    __slots__ = ("mode_cols", "time_col", "stride", "value_col", "binned_cols", "t0",
+                 "delimiter", "time_format", "has_header", "on_error")
 
-    def __post_init__(self):
-        if len(self.mode_cols) < 1:
+    def __init__(
+        self,
+        mode_cols: tuple[int, ...],
+        time_col: int,
+        stride: int | float,
+        value_col: int | None = None,
+        binned_cols: tuple[int, ...] = (),
+        t0: int | float | None = None,
+        delimiter: str = "\t",
+        time_format: str = "epoch",  # or "iso"
+        has_header: bool = False,
+        on_error: str = "abort",  # or "skip"
+    ):
+        if len(mode_cols) < 1:
             raise ConfigError("need at least one categorical mode column")
-        if not 0 < self.stride < math.inf:
+        if not 0 < stride < math.inf:
             raise ConfigError("stride must be positive and finite")
-        if self.t0 is not None and not math.isfinite(self.t0):
+        if t0 is not None and not math.isfinite(t0):
             raise ConfigError("t0 must be finite")
-        if not self.delimiter:
+        if not delimiter:
             raise ConfigError("delimiter cannot be empty")
-        cols = [*self.mode_cols, *self.binned_cols, self.time_col]
-        if self.value_col is not None:
-            cols.append(self.value_col)
+        cols = [*mode_cols, *binned_cols, time_col]
+        if value_col is not None:
+            cols.append(value_col)
         if min(cols) < 0:
             raise ConfigError("column indices cannot be negative")
         if len(set(cols)) < len(cols):
             raise ConfigError("a column cannot have two roles (mode, binned, time, value)")
-        if self.time_format not in ("epoch", "iso"):
-            raise ConfigError(f"unknown time format {self.time_format!r}")
-        if self.on_error not in ("abort", "skip"):
-            raise ConfigError(f"unknown error policy {self.on_error!r}")
+        if time_format not in ("epoch", "iso"):
+            raise ConfigError(f"unknown time format {time_format!r}")
+        if on_error not in ("abort", "skip"):
+            raise ConfigError(f"unknown error policy {on_error!r}")
+        self.mode_cols, self.time_col, self.stride = mode_cols, time_col, stride
+        self.value_col, self.binned_cols, self.t0 = value_col, binned_cols, t0
+        self.delimiter, self.time_format = delimiter, time_format
+        self.has_header, self.on_error = has_header, on_error
 
 
 class ModeDictionary:
@@ -129,14 +131,17 @@ def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
         if not math.isfinite(ts):
             raise BadTimestamp(f"non-finite timestamp: {raw!r}", lineno)
         return ts
+    # Only ISO timestamps load datetime; a plain import statement re-runs
+    # faster than one with a from-list.
+    import datetime
     try:
         if not ISO_TIMESTAMP.fullmatch(raw):
             raise ValueError
-        parsed = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        parsed = datetime.datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError:
         raise BadTimestamp(f"not an ISO-8601 timestamp: {raw!r}", lineno) from None
     if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)  # no offset reads as UTC
+        parsed = parsed.replace(tzinfo=datetime.timezone.utc)  # no offset reads as UTC
     return parsed.timestamp()
 
 
@@ -215,7 +220,9 @@ def parse_tuples(
                     f"has {len(parts)} columns, need at least {needed + 1}", lineno
                 )
             if len(parts) > needed + 1 and not warned_extra:
-                log.warning("line %d: extra columns beyond %d are ignored", lineno, needed + 1)
+                import logging  # only a warning needs it
+                logging.getLogger(__name__).warning(
+                    "line %d: extra columns beyond %d are ignored", lineno, needed + 1)
                 warned_extra = True
 
             raw_ts = parts[cfg.time_col]
@@ -241,7 +248,8 @@ def parse_tuples(
         except (MalformedLine, BadTimestamp, NegativeValue) as exc:
             if cfg.on_error == "abort":
                 raise
-            log.warning("skipping %s", exc)
+            import logging  # only a warning needs it
+            logging.getLogger(__name__).warning("skipping %s", exc)
             continue
         if time_bin < last_bin:
             # Ends the run under either error policy: the bins before this

@@ -18,18 +18,20 @@ from tensorsplice import (
     EngineConfig,
     Event,
     IngestConfig,
-    InjectionSpec,
     ModeDictionary,
     TensorSlice,
     detect_top_blocks,
-    generate_stream,
     parse_tuples,
-    rerun_scaling_run,
     run_stream,
-    scaling_run,
-    score,
     splice_condition,
     splice_pair,
+)
+from tensorsplice.synth import (
+    InjectionSpec,
+    generate_stream,
+    rerun_scaling_run,
+    scaling_run,
+    score,
 )
 from conftest import (
     brute_force_best_density,

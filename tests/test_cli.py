@@ -154,6 +154,32 @@ class TestRun:
         assert result.stderr.startswith("error: line 2: ")
         assert "Traceback" not in result.stderr
 
+    def test_iso_times_and_skip_warnings_in_a_fresh_process(self, tmp_path):
+        # The child imports datetime and logging only when a line needs
+        # them; in-process, pytest has imported both already.
+        stream = tmp_path / "in.tsv"
+        stream.write_text(
+            "a\tb\t1970-01-01T00:00:00Z\n"
+            "a\tc\t1970-01-01T00:00:50Z\tx\n"
+            "a\tb\tyesterday\n"
+            "a\tb\t1970-01-01T00:01:40Z\n"
+        )
+        result = cli("run", "--input", str(stream), "--stride", "100", "--t0", "0",
+                     "--time-format", "iso", "--on-error", "skip", "--k", "1")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            '{"schema":"tensorsplice/1","step":0,"time_range":[0,1],"blocks":'
+            '[{"density":0.5,"mass":2,"size":4,"modes":[["a"],["b","c"],[0]]}]}\n'
+            '{"schema":"tensorsplice/1","step":1,"time_range":[1,2],"blocks":'
+            '[{"density":0.6,"mass":3,"size":5,"modes":[["a"],["b","c"],[0,1]]}]}\n'
+        )
+        *warnings, summary = result.stderr.splitlines()
+        assert warnings == [
+            "line 2: extra columns beyond 3 are ignored",
+            "skipping line 3: not an ISO-8601 timestamp: 'yesterday'",
+        ]
+        assert SUMMARY.fullmatch(summary)
+
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_ends_quietly(self, unbuffered):
         read_end, write_end = os.pipe()
@@ -733,3 +759,21 @@ class TestScale:
 
 def test_unknown_subcommand_is_config_error(capsys):
     assert main(["frobnicate"]) == 3
+
+
+def test_cli_imports_only_what_run_and_oracle_execute():
+    # -S keeps site-packages' .pth files, which import modules of their
+    # own, out of the child.
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); before = set(sys.modules)\n"
+        "import tensorsplice.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, timeout=TIMEOUT_S)
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "tensorsplice.cli" in added
+    unused = {"tensorsplice.synth", "dataclasses", "inspect", "logging", "datetime", "random"}
+    assert added & unused == set()
+    assert [name for name in tensorsplice.__all__ if not hasattr(tensorsplice, name)] == []

@@ -8,16 +8,20 @@ from tensorsplice import (
     Block,
     DensityInfeasible,
     IngestConfig,
-    InjectionSpec,
     ModeDictionary,
     StepOutput,
-    generate_stream,
     parse_tuples,
+)
+from tensorsplice.synth import (
+    InjectedTruth,
+    InjectionSpec,
+    _t95,
+    fit_loglog,
+    generate_stream,
     rerun_scaling_run,
     scaling_run,
     score,
 )
-from tensorsplice.synth import InjectedTruth, _t95, fit_loglog
 
 
 def tiny_spec(**overrides) -> InjectionSpec:
