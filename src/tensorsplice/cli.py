@@ -29,8 +29,9 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
-from typing import Iterator, TextIO
+from io import TextIOBase
 
 from .blocks import Event
 from .detect import detect_top_blocks  # noqa: F401  bench/tracer.py wraps this attribute
@@ -84,7 +85,7 @@ def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stride", type=number, required=True,
                    help="time-bin width in source units (no default)")
     p.add_argument("--t0", type=number, default=None,
-                   help="stream origin; defaults to the first tuple's time "
+                   help="stream origin; defaults to the first kept tuple's time "
                         "floored to a multiple of --stride")
     p.add_argument("--delimiter", default="\t")
     p.add_argument("--time-format", choices=("epoch", "iso"), default="epoch")
@@ -143,7 +144,7 @@ def _refuse_overwrite(args, *inputs: str) -> None:
 
 
 @contextmanager
-def _output(path: str | None) -> Iterator[TextIO]:
+def _output(path: str | None) -> Iterator[TextIOBase]:
     """stdout when ``path`` is None, else the file at ``path``, closed on
     any exit. An empty ``--output`` also means stdout, so callers pass
     ``args.output or None``; an empty ``--truth`` stays a file error."""

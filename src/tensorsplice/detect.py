@@ -10,26 +10,30 @@ The detector repeats runs on what the earlier runs left, so the returned
 blocks are entry-disjoint. They come back ordered by non-increasing density.
 
 A detect call indexes the slice once (a ``PeelIndex``) in flat lists over
-one id space. Entries are numbered in entry order. Each (mode, id) pair is
-numbered by a gid: the mode's offset plus the id's rank within its mode, so
-each mode owns one range of gids, in mode order, and ``(mass, gid)`` sorts
-exactly like ``(mass, mode, id)``. Per entry the index holds its key, its
-value and its gid in each mode, and a ``bytearray`` marks the live entries.
-Per gid it holds a mass (``None`` once the id is gone) and a live entry
-count. The postings are CSR: one flat list holds every gid's entry numbers,
-grouped by gid in entry order, and an offsets array gives where each gid's
-group starts. One heap holds a record per gid, and outdated records are
-skipped lazily. When every value is an int, a record is the int ``mass * G
-+ gid``, with G the gid count, which sorts exactly like ``(mass, gid)`` and
-compares faster; otherwise it is that tuple. Every run peels copies of
-the live marks, masses, counts and heap and shares the rest read-only.
+one id space, with no map from keys back to entries. Entries are numbered
+in entry order. Each (mode, id) pair is numbered by a gid: the mode's
+offset plus the id's rank within its mode, so each mode owns one range of
+gids, in mode order, and ``(mass, gid)`` sorts exactly like ``(mass,
+mode, id)``. Per entry the index holds its key, its value and its gid in
+each mode; every value is positive, so a value of 0 marks a removed entry,
+and a live-entry count says how many are left. Per gid it holds a mass
+(``None`` once the id is gone) and a live entry count. The postings are
+CSR: one unboxed array holds every gid's entry numbers, grouped by gid in
+entry order, and an offsets array gives where each gid's group starts.
+One heap holds a record per gid, and outdated records are skipped lazily.
+When every value is an int, a record is the int ``mass * G + gid``, with
+G the gid count, which sorts exactly like ``(mass, gid)`` and compares
+faster; otherwise it is that tuple. Every run peels copies of the values
+(its live marks), masses, counts and heap, and shares the rest
+read-only. It frees them before it builds the block it returns, so a
+run's state and its block are never alive at once.
 
 The groups are fixed at the build: a removed entry stays in every group it
-sits in, dead in the live marks, and walks skip it. After a run, the found
-block's entries leave the index and their values become 0. Each gid the
-block touched loses its removed entries from its live count and dies at 0;
-every other one re-sums its whole group in entry order and gets one fresh
-heap record.
+sits in, at value 0, and walks skip it. A run leaves the entry numbers of
+its block on the index, and ``remove`` deletes those entries: their
+values become 0. Each gid the block touched loses its
+removed entries from its live count and dies at 0; every other one
+re-sums its whole group in entry order and gets one fresh heap record.
 
 The result is exactly that of indexing the remainder from scratch before
 every run. A gid's mass is added up over its entries in entry order by the
@@ -79,39 +83,42 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .blocks import Block, TensorSlice, running_sum
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionViolated
 
 
 class PeelIndex:
     """The remaining tensor of one detect call, indexed for peeling.
 
-    Entry ``e`` has key ``keys[e]``, value ``values[e]`` (0 once removed)
-    and gid ``ids[mode][e]`` in each mode; mode ``m`` owns the gids from
-    ``starts[m]`` up to ``starts[m + 1]``. ``number`` maps each live key to
-    its entry number, and ``alive[e]`` is set while entry ``e`` is live. A
-    gid ``g`` is live while its mass is not ``None``; its group, in entry
-    order, is ``postings[offsets[g]:offsets[g + 1]]``, fixed at the build,
-    so it keeps its removed entries, and ``counts[g]`` of them are live.
-    With int values ``scale`` is the gid count and a heap record is the int
-    ``mass * scale + gid``; otherwise ``scale`` is ``None`` and a record is
-    the tuple ``(mass, gid)``.
+    Entry ``e`` has key ``keys[e]``, value ``values[e]`` and gid
+    ``ids[mode][e]`` in each mode; a removed entry keeps its key and gids,
+    and its value becomes 0, which marks it dead, as every stored value is
+    positive. ``live`` entries are left. Mode ``m`` owns the gids from
+    ``starts[m]`` up to ``starts[m + 1]``. A gid ``g`` is live while its
+    mass is not ``None``; its group, in entry order, is
+    ``postings[offsets[g]:offsets[g + 1]]``, fixed at the build, so it
+    keeps its removed entries, and ``counts[g]`` of them are live. Both
+    ``postings`` and ``offsets`` are unboxed arrays. With int values
+    ``scale`` is the gid count and a heap record is the int ``mass * scale
+    + gid``; otherwise ``scale`` is ``None`` and a record is the tuple
+    ``(mass, gid)``. ``peel_once`` leaves the entry numbers of the block
+    it returned in ``kept``, for ``remove``.
     """
 
-    __slots__ = ("n_modes", "keys", "values", "number", "alive", "ids", "starts",
-                 "masses", "counts", "offsets", "postings", "scale", "heap")
+    __slots__ = ("n_modes", "keys", "values", "live", "ids", "starts", "masses", "counts",
+                 "offsets", "postings", "scale", "heap", "kept")
 
     def __init__(self, n_modes: int, entries: dict):
         self.n_modes = n_modes
         self.keys = keys = list(entries)
         self.values = values = list(entries.values())
-        numbers = list(range(len(keys)))  # one int object per entry, shared
-        self.number = dict(zip(keys, numbers))
-        self.alive = bytearray(b"\x01") * len(keys)
+        self.live = len(keys)
         self.ids: list[list[int]] = []
         self.starts = starts = [0]
         self.masses: list = []
         self.counts: list[int] = []
-        self.postings: list[int] = []
+        # Fixed after the build, so kept unboxed in 4 bytes per entry
+        # number: 2**31 entries would take hundreds of GB before this.
+        self.postings = array("i")
         masses, counts, postings = self.masses, self.counts, self.postings
         gids: list[int] = []
         for mode in range(n_modes):
@@ -124,25 +131,28 @@ class PeelIndex:
                 masses[g] = masses[g] + value
             counts += map(Counter(ids).__getitem__, mode_gids)
             # Stable, so each gid's entries stay in entry order.
-            postings += sorted(numbers, key=ids.__getitem__)
+            postings.extend(sorted(range(len(keys)), key=ids.__getitem__))
             self.ids.append(ids)
             gids += mode_gids
             starts.append(len(gids))
-        # Fixed after the build, so kept unboxed: 8 bytes per gid.
         self.offsets = array("q", accumulate(counts, initial=0))
         self.scale = scale = len(gids) if type(running_sum(values)) is int else None
         self.heap = ([m * scale + g for g, m in enumerate(masses)] if scale
                      else list(zip(masses, gids)))
         heapq.heapify(self.heap)
+        self.kept = None
 
-    def remove(self, block: Block) -> None:
-        """Delete a block's entries and re-sum every gid they touched."""
-        number, alive, values = self.number, self.alive, self.values
-        masses, counts, offsets, postings = self.masses, self.counts, self.offsets, self.postings
-        gone = [number.pop(key) for key in block.entries]
+    def remove(self) -> None:
+        """Delete the entries of the block the last ``peel_once`` on this
+        index returned, and re-sum every gid they touched."""
+        if self.kept is None:
+            raise PreconditionViolated("remove follows a peel_once on this index")
+        gone, self.kept = self.kept, None
+        values, masses, counts = self.values, self.masses, self.counts
+        offsets, postings = self.offsets, self.postings
         for e in gone:
-            alive[e] = 0
-            values[e] = 0  # so a re-sum over a whole group is the live mass
+            values[e] = 0  # dead, and a re-sum over a whole group is the live mass
+        self.live -= len(gone)
         for g, removed in Counter([ids[e] for ids in self.ids for e in gone]).items():
             counts[g] -= removed
             if not counts[g]:
@@ -156,16 +166,18 @@ class PeelIndex:
 def peel_once(working: PeelIndex) -> Block:
     """One greedy run: return the densest intermediate state of the peel.
 
-    ``working`` is left unchanged. Comparisons are done cross-multiplied
-    (mass_a * size_b vs mass_b * size_a), which is exact for integer-valued
-    blocks and avoids float tie instability.
+    ``working`` keeps its tensor: the run peels copies of its values,
+    masses, counts and heap, and it only gains the returned block's entry
+    numbers (``kept``). Comparisons are done cross-multiplied (mass_a *
+    size_b vs mass_b * size_a), which is exact for integer-valued blocks
+    and avoids float tie instability.
     """
-    nnz = len(working.number)
+    nnz = working.live
     if not nnz:
         raise ValueError("cannot peel an empty block")
-    values, starts, scale = working.values, working.starts, working.scale
+    starts, scale = working.starts, working.scale
     postings, offsets = working.postings, working.offsets
-    alive = working.alive[:]
+    values = working.values[:]  # the run's live marks: 0 once an entry goes
     masses = working.masses[:]
     counts = working.counts[:]
     heap = working.heap[:]
@@ -229,10 +241,10 @@ def peel_once(working: PeelIndex) -> Block:
             for g in doomed:
                 size -= 1
                 for e in postings[offsets[g]:offsets[g + 1]]:
-                    if not alive[e]:
-                        continue
-                    alive[e] = 0
                     value = values[e]
+                    if not value:
+                        continue
+                    values[e] = 0
                     total -= value
                     removal_log.append(e)
                     for ids in other_ids:
@@ -264,9 +276,14 @@ def peel_once(working: PeelIndex) -> Block:
             masses[g] = None
             doomed = [g]
 
-    keys = working.keys
     kept = sorted(removal_log[best_cut:])
-    return Block._adopt(working.n_modes, {keys[e]: values[e] for e in kept})
+    # Only the index and the kept entry numbers outlive the run, so its
+    # state is freed before the block is built.
+    del values, masses, counts, heap, dirty, removal_log
+    keys, values = working.keys, working.values
+    block = Block._adopt(working.n_modes, {keys[e]: values[e] for e in kept})
+    working.kept = kept
+    return block
 
 
 def detect_top_blocks(source: TensorSlice, num_blocks: int) -> list[Block]:
@@ -275,14 +292,14 @@ def detect_top_blocks(source: TensorSlice, num_blocks: int) -> list[Block]:
         raise ConfigError("num_blocks must be at least 1")
     index = PeelIndex(source.n_modes, source.entries)
     found: list[Block] = []
-    while index.number:
+    while index.live:
         # Looked up as a module global on every run, so wrappers see each one.
         block = peel_once(index)
         found.append(block)
         # Nothing reads the index after a run that took every live entry.
-        if len(found) == num_blocks or block.nnz == len(index.number):
+        if len(found) == num_blocks or block.nnz == index.live:
             break
-        index.remove(block)
+        index.remove()
     # Stable sort: equal densities keep discovery order.
     found.sort(key=lambda b: -(b.mass / b.size))
     return found

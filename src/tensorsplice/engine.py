@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .blocks import Block, Event, TensorSlice
 from .detect import detect_top_blocks

@@ -5,8 +5,8 @@ columns come first in their configured order, then any extra time-binned
 columns, and the streaming time bin is always the last mode.
 
 Timestamps are shifted by the stream origin ``t0`` (unless configured,
-the first tuple's timestamp floored to a multiple of the stride, so bins
-align with the stride) and binned with floor semantics, so a tuple
+the first kept tuple's timestamp floored to a multiple of the stride, so
+bins align with the stride) and binned with floor semantics, so a tuple
 at time t lands in bin ``floor((t - t0) / stride)``. The same origin and
 stride apply to extra time-binned columns.
 """
@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .blocks import Block, Event
 from .engine import StepOutput
@@ -195,6 +195,7 @@ def parse_tuples(
     skipped instead of aborting; a time bin below that of an earlier
     yielded tuple raises ``TimeRegression`` under either policy, as a
     total of yielded values past ``MASS_CEILING`` raises ``IngestError``.
+    A dropped or skipped line never sets the default origin.
     """
     needed = max(
         (*cfg.mode_cols, cfg.time_col, *cfg.binned_cols),
@@ -227,14 +228,15 @@ def parse_tuples(
 
             raw_ts = parts[cfg.time_col]
             ts = _parse_timestamp(raw_ts, cfg.time_format, lineno)
-            if t0 is None:
-                t0 = _floored_origin(ts, cfg.stride)
-                origin = (
-                    f" {t0}, the first tuple's time {raw_ts} (line {lineno}) "
+            line_t0, line_origin = t0, origin
+            if line_t0 is None:  # the origin, if this line is kept
+                line_t0 = _floored_origin(ts, cfg.stride)
+                line_origin = (
+                    f" {line_t0}, the first kept tuple's time {raw_ts} (line {lineno}) "
                     "floored to a multiple of the stride; "
                     "pass --t0 with the earliest timestamp"
                 )
-            time_bin = _time_bin(ts, t0, cfg.stride, lineno, raw_ts, origin)
+            time_bin = _time_bin(ts, line_t0, cfg.stride, lineno, raw_ts, line_origin)
 
             value = 1 if cfg.value_col is None else _parse_value(parts[cfg.value_col], lineno)
             if value == 0:
@@ -243,7 +245,8 @@ def parse_tuples(
             ids = [dicts.encode(m, parts[col]) for m, col in enumerate(cfg.mode_cols)]
             for col in cfg.binned_cols:
                 extra_ts = _parse_timestamp(parts[col], cfg.time_format, lineno)
-                ids.append(_time_bin(extra_ts, t0, cfg.stride, lineno, parts[col], origin, col))
+                ids.append(_time_bin(extra_ts, line_t0, cfg.stride, lineno, parts[col],
+                                     line_origin, col))
             ids.append(time_bin)
         except (MalformedLine, BadTimestamp, NegativeValue) as exc:
             if cfg.on_error == "abort":
@@ -251,6 +254,7 @@ def parse_tuples(
             import logging  # only a warning needs it
             logging.getLogger(__name__).warning("skipping %s", exc)
             continue
+        t0, origin = line_t0, line_origin
         if time_bin < last_bin:
             # Ends the run under either error policy: the bins before this
             # one may already have been processed.

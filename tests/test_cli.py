@@ -477,9 +477,30 @@ class TestGenerate:
         err = capsys.readouterr().err.strip()
         assert err == (
             "error: line 3: timestamp '90' precedes the stream origin 100, the first "
-            "tuple's time 150 (line 1) floored to a multiple of the stride; "
+            "kept tuple's time 150 (line 1) floored to a multiple of the stride; "
             "pass --t0 with the earliest timestamp"
         ), err
+
+    @pytest.mark.parametrize("first, flags", [
+        ("q\tr\t0\t0", []),
+        ("q\tr\t0\tx", ["--on-error", "skip"]),
+    ], ids=["zero-value", "skipped-bad-value"])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_dropped_first_line_does_not_set_the_default_origin(
+        self, command, first, flags, tmp_path
+    ):
+        # The origin is 500, from the first kept tuple: one step, not six
+        # from an origin of 0.
+        kept = "a\tb\t500\t1\nc\td\t510\t2\n"
+        outputs = []
+        for text in (first + "\n" + kept, kept):
+            stream, out = tmp_path / "s.tsv", tmp_path / f"out{len(outputs)}.jsonl"
+            stream.write_text(text)
+            code = main([command, "--input", str(stream), "--value-col", "3",
+                         "--stride", "100", *flags, "--output", str(out)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 1
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-link"])
     def test_truth_naming_the_output_is_config_error(self, existing, tmp_path, capsys):
@@ -774,6 +795,7 @@ def test_cli_imports_only_what_run_and_oracle_execute():
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
     assert "tensorsplice.cli" in added
-    unused = {"tensorsplice.synth", "dataclasses", "inspect", "logging", "datetime", "random"}
+    unused = {"tensorsplice.synth", "dataclasses", "inspect", "logging", "datetime", "random",
+              "typing"}
     assert added & unused == set()
     assert [name for name in tensorsplice.__all__ if not hasattr(tensorsplice, name)] == []

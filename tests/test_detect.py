@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tensorsplice import (
     Block,
     Event,
+    PreconditionViolated,
     TensorSlice,
     detect_top_blocks,
 )
@@ -216,7 +217,7 @@ def test_batch_stop_case_is_the_same_under_python312_sum():
 def group(index: PeelIndex, g: int) -> list[int]:
     """The live entry numbers of gid ``g``, from its fixed CSR group."""
     fixed = index.postings[index.offsets[g]:index.offsets[g + 1]]
-    return [e for e in fixed if index.alive[e]]
+    return [e for e in fixed if index.values[e]]
 
 
 def by_id(index: PeelIndex) -> list[dict]:
@@ -250,14 +251,19 @@ def test_index_after_removal_matches_fresh_index(source):
     # After each run's block is removed, the kept index must equal one
     # built from scratch on what is left, float masses bit for bit.
     index = PeelIndex(source.n_modes, source.entries)
-    while index.number:
-        index.remove(peel_once(index))
-        assert list(index.number.values()) == [
-            e for e, live in enumerate(index.alive) if live
-        ]
-        fresh = PeelIndex(index.n_modes, {
-            key: index.values[e] for key, e in index.number.items()
-        })
+    with pytest.raises(PreconditionViolated):
+        index.remove()  # nothing peeled yet
+    while index.live:
+        block = peel_once(index)
+        assert index.kept == sorted(index.kept)
+        assert {index.keys[e]: index.values[e] for e in index.kept} == block.entries
+        index.remove()
+        assert index.kept is None
+        with pytest.raises(PreconditionViolated):
+            index.remove()  # already removed
+        left = {key: value for key, value in zip(index.keys, index.values) if value}
+        assert index.live == len(left)
+        fresh = PeelIndex(index.n_modes, left)
         assert by_id(index) == by_id(fresh)
         assert live_records(index) == live_records(fresh) == [
             {(mass, idx) for idx, (mass, _, _) in table.items()}
@@ -307,11 +313,12 @@ def test_removal_kills_emptied_ids_and_keeps_dead_entries_in_shared_groups():
     index = PeelIndex(3, entries)
     first = peel_once(index)
     assert first.entries == {(u, i, 0): 5 for u in (0, 1) for i in (0, 1)}
-    index.remove(first)
+    index.remove()
     user0, bin0 = 0, index.starts[2]
     assert index.masses[user0] is None and index.counts[user0] == 0
     fixed = index.postings[index.offsets[bin0]:index.offsets[bin0 + 1]]
-    assert [index.alive[e] for e in fixed] == [0, 0, 0, 0, 1]
+    assert [index.values[e] for e in fixed] == [0, 0, 0, 0, 1]
+    assert index.live == 3
     assert (index.counts[bin0], index.masses[bin0]) == (1, 1)
     rest = {key: value for key, value in entries.items() if key not in first.entries}
     assert peel_once(index) == reference_detect(mk(rest), 1)[0]
