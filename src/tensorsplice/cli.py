@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when stdout is closed before all output is
 written (quietly, for ``| head``), 2 when the input is bad (a malformed or
-non-finite field, a timestamp out of order, bytes that are not UTF-8),
+non-finite field, a timestamp out of order or too many strides past the
+last kept one, bytes that are not UTF-8),
 3 on configuration errors, including a file that cannot be opened or
 written and an output path that names the command's input (``run``,
 ``oracle``, ``evaluate``) or its other output (``generate``), which is
@@ -298,22 +299,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    from .synth import rerun_scaling_run, scaling_run
-    cfg = _engine_config(args)
-    sizes = _csv_ints(args.sizes)
-    # Checked before any timing, so a bad flag fails at once.
-    if len(sizes) < 4 or min(sizes) < 1 or max(sizes) < 16 * min(sizes):
-        raise ConfigError("--sizes needs at least 4 positive sizes spanning a 16x range")
-    if args.repeats < 1 or args.oracle_slice_nnz < 1:
-        raise ConfigError("--repeats and --oracle-slice-nnz must be at least 1")
-    if args.oracle_steps < 4:
-        raise ConfigError("--oracle-steps must be at least 4")
-    fits = {
-        "engine": scaling_run(sizes, cfg=cfg, seed=args.seed, repeats=args.repeats),
-        "rerun_baseline": rerun_scaling_run(
-            args.oracle_steps, args.oracle_slice_nnz, cfg=cfg, seed=args.seed
-        ),
-    }
+    from .synth import scaling_fits
+    fits = scaling_fits(_engine_config(args), _csv_ints(args.sizes), args.repeats,
+                        args.oracle_steps, args.oracle_slice_nnz, seed=args.seed)
     payload = {"schema": SCHEMA_VERSION}
     for name, fit in fits.items():
         payload[name] = {

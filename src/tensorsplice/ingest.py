@@ -43,6 +43,11 @@ ISO_TIMESTAMP = re.compile(r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}(?::\d{2}(?:\.\d
 # mass or ``mu`` is below e * e * ceiling, and any size or q below 2**63.
 MASS_CEILING = sys.float_info.max / 2**66
 
+# The most bins a kept tuple may lie past the previous kept tuple's bin (bin
+# 0 for the first). Every bin between them is an empty step with a line of
+# output, so a longer gap would run for minutes, or for ever.
+MAX_GAP_BINS = 10**7
+
 
 class IngestConfig:
     """Column roles and binning for one tuple file."""
@@ -148,8 +153,7 @@ def _parse_timestamp(raw: str, fmt: str, lineno: int) -> float:
 def _time_bin(ts, t0, stride, lineno: int, raw: str, origin: str, binned_col=None) -> int:
     """The bin ordinal of ``ts``; an offset of ``2**53`` bins or more is bad
     input, as a float quotient that large cannot tell neighbouring bins
-    apart. A real gap of fewer bins is still stepped through, one (empty)
-    bin at a time."""
+    apart."""
     offset = (ts - t0) / stride
     if 0 <= offset < 2**53:
         return math.floor(offset)
@@ -191,11 +195,13 @@ def parse_tuples(
     """Yield dense-id events from delimited text, one tuple per line.
 
     Dictionaries extend as unseen raw values appear. Zero-valued tuples
-    are dropped. Under ``on_error="skip"`` bad lines are logged and
-    skipped instead of aborting; a time bin below that of an earlier
-    yielded tuple raises ``TimeRegression`` under either policy, as a
-    total of yielded values past ``MASS_CEILING`` raises ``IngestError``.
-    A dropped or skipped line never sets the default origin.
+    are dropped. A time bin more than ``MAX_GAP_BINS`` past the previous
+    kept tuple's bin (bin 0 for the first) is a ``BadTimestamp``. Under
+    ``on_error="skip"`` bad lines are logged and skipped instead of
+    aborting; a time bin below that of an earlier yielded tuple raises
+    ``TimeRegression`` under either policy, as a total of yielded values
+    past ``MASS_CEILING`` raises ``IngestError``. A dropped or skipped line
+    never sets the default origin and assigns no label ids.
     """
     needed = max(
         (*cfg.mode_cols, cfg.time_col, *cfg.binned_cols),
@@ -205,7 +211,7 @@ def parse_tuples(
         needed = max(needed, cfg.value_col)
     t0 = cfg.t0
     origin = ""  # how an error names a default origin
-    last_bin = 0  # highest time bin yielded so far
+    last_bin = 0  # the time bin of the last yielded tuple
     total = 0  # sum of the values yielded so far
     warned_extra = False
     for lineno, raw_line in enumerate(lines, 1):
@@ -241,12 +247,18 @@ def parse_tuples(
             value = 1 if cfg.value_col is None else _parse_value(parts[cfg.value_col], lineno)
             if value == 0:
                 continue
-
+            if time_bin - last_bin > MAX_GAP_BINS:
+                raise BadTimestamp(
+                    f"timestamp {raw_ts!r} lies {time_bin - last_bin} bins past bin {last_bin}; "
+                    f"a gap of more than {MAX_GAP_BINS} bins is not stepped through", lineno)
+            binned = [
+                _time_bin(_parse_timestamp(parts[col], cfg.time_format, lineno), line_t0,
+                          cfg.stride, lineno, parts[col], line_origin, col)
+                for col in cfg.binned_cols
+            ]
+            # Labels get ids only after every check that can skip the line.
             ids = [dicts.encode(m, parts[col]) for m, col in enumerate(cfg.mode_cols)]
-            for col in cfg.binned_cols:
-                extra_ts = _parse_timestamp(parts[col], cfg.time_format, lineno)
-                ids.append(_time_bin(extra_ts, line_t0, cfg.stride, lineno, parts[col],
-                                     line_origin, col))
+            ids += binned
             ids.append(time_bin)
         except (MalformedLine, BadTimestamp, NegativeValue) as exc:
             if cfg.on_error == "abort":

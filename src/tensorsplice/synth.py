@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterator, Sequence
 
 from .blocks import Event
 from .engine import EngineConfig, StepOutput, iter_rerun_outputs, run_stream
-from .errors import DensityInfeasible, IngestError
+from .errors import ConfigError, DensityInfeasible, IngestError
 from .ingest import SCHEMA_VERSION, ModeDictionary
 
 _PREFIXES = ("u", "i", "a", "b", "c", "d")
@@ -319,79 +319,53 @@ def fit_loglog(points: Sequence[tuple[float, float]]) -> ScalingReport:
     )
 
 
-def _random_events(
-    nnz: int, shape: tuple[int, ...], bin_: int, rng: random.Random,
-    id_offset: int = 0,
-) -> Iterator[Event]:
+def _random_events(nnz: int, bin_: int, rng: random.Random) -> Iterator[Event]:
+    """``nnz`` uniform random events in bin ``bin_``. Id ranges scale with
+    ``nnz``, so sparsity stays comparable across sizes, and each bin draws
+    ids of its own, as a streaming tensor's modes augment per stride."""
+    shape = (max(nnz // 2, 4), max(nnz // 4, 4))
     for _ in range(nnz):
-        yield Event(tuple(id_offset + rng.randrange(card) for card in shape) + (bin_,))
+        yield Event(tuple(bin_ * shape[0] + rng.randrange(card) for card in shape) + (bin_,))
 
 
-def scaling_run(
+def scaling_fits(
+    cfg: EngineConfig,
     sizes: Sequence[int],
-    cfg: EngineConfig | None = None,
+    repeats: int,
+    oracle_steps: int,
+    oracle_slice_nnz: int,
     seed: int = 0,
-    repeats: int = 3,
-    timer: Callable[[int], float] | None = None,
-) -> ScalingReport:
-    """Per-step engine cost against slice nnz, as a fitted log-log slope.
+) -> dict[str, ScalingReport]:
+    """Log-log runtime fits of the tracking engine and the re-run baseline,
+    as ``{"engine": ..., "rerun_baseline": ...}``.
 
-    ``timer`` maps an nnz target to measured seconds; the default feeds
-    that many uniform random events to ``run_stream`` and reads the
-    detect and splice time of its one step (best of ``repeats``).
+    ``engine`` fits one ``run_stream`` step's detect and splice seconds (best
+    of ``repeats``) against its slice nnz, one point per size. ``rerun_baseline``
+    fits the cumulative detect seconds of ``oracle``'s driver
+    ``iter_rerun_outputs`` against the cumulative nnz over ``oracle_steps``
+    random bins; re-running over all history makes it superlinear. Every
+    argument is checked before anything is timed (``ConfigError``).
     """
-    if len(sizes) < 4:
-        raise ValueError("need at least 4 sizes")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    if min(sizes) < 1 or max(sizes) < 16 * min(sizes):
-        raise ValueError("sizes must be positive and span at least a 16x range")
-    if timer is None:
-        cfg = cfg or EngineConfig(k=3, l=2)
-
-        def timer(nnz: int) -> float:
-            # Id ranges scale with the slice so sparsity stays comparable
-            # across sizes.
-            shape = (max(nnz // 2, 4), max(nnz // 4, 4))
-            best = float("inf")
-            for rep in range(repeats):
-                rng = random.Random(seed * 1_000_003 + nnz * 31 + rep)
-                out = next(run_stream(_random_events(nnz, shape, 0, rng), cfg))
-                best = min(best, out.timing["detect"] + out.timing["splice"])
-            return best
-    points = [(size, timer(size)) for size in sizes]
-    return fit_loglog(points)
-
-
-def rerun_scaling_run(
-    n_steps: int,
-    slice_nnz: int,
-    cfg: EngineConfig | None = None,
-    seed: int = 0,
-) -> ScalingReport:
-    """Cumulative cost of the from-scratch re-run baseline.
-
-    Feeds constant-size bins of random events, whose id ranges augment
-    per stride as a streaming tensor's modes do, to ``oracle``'s driver
-    ``iter_rerun_outputs``; returns the slope of its cumulative detect
-    seconds against cumulative nnz. Re-running over all history makes
-    this superlinear.
-    """
-    if n_steps < 4:
-        raise ValueError("need at least 4 steps")
-    if slice_nnz < 1:
-        raise ValueError("slice_nnz must be at least 1")
-    cfg = cfg or EngineConfig(k=3, l=2)
-    shape = (max(slice_nnz // 2, 4), max(slice_nnz // 4, 4))
+    if len(sizes) < 4 or min(sizes) < 1 or max(sizes) < 16 * min(sizes):
+        raise ConfigError("sizes: need at least 4 positive sizes spanning a 16x range")
+    if repeats < 1 or oracle_slice_nnz < 1:
+        raise ConfigError("repeats and oracle_slice_nnz must be at least 1")
+    if oracle_steps < 4:
+        raise ConfigError("oracle_steps must be at least 4")
+    engine_points = []
+    for nnz in sizes:
+        best = float("inf")
+        for rep in range(repeats):
+            rng = random.Random(seed * 1_000_003 + nnz * 31 + rep)
+            out = next(run_stream(_random_events(nnz, 0, rng), cfg))
+            best = min(best, out.timing["detect"] + out.timing["splice"])
+        engine_points.append((nnz, best))
     rng = random.Random(seed)
-    events = (
-        event
-        for b in range(n_steps)
-        for event in _random_events(slice_nnz, shape, b, rng, id_offset=b * shape[0])
-    )
-    points = []
+    events = (event for b in range(oracle_steps)
+              for event in _random_events(oracle_slice_nnz, b, rng))
+    rerun_points = []
     total_time = 0.0
     for b, output in enumerate(iter_rerun_outputs(events, cfg), 1):
         total_time += output.timing["detect"]
-        points.append((b * slice_nnz, total_time))
-    return fit_loglog(points)
+        rerun_points.append((b * oracle_slice_nnz, total_time))
+    return {"engine": fit_loglog(engine_points), "rerun_baseline": fit_loglog(rerun_points)}

@@ -699,14 +699,15 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def count_calls(monkeypatch, module, name: str) -> list:
+def count_calls(monkeypatch, module, name: str, keep_args: bool = True) -> list:
     """Wrap ``module.name`` for one test; the returned list collects the
-    positional arguments of every call."""
+    positional arguments of every call, or ``None`` for each call without
+    ``keep_args``, so the arguments can be freed."""
     original = getattr(module, name)
     calls: list = []
 
     def counted(*args):
-        calls.append(args)
+        calls.append(args if keep_args else None)
         return original(*args)
 
     monkeypatch.setattr(module, name, counted)

@@ -29,8 +29,7 @@ from tensorsplice import (
 from tensorsplice.synth import (
     InjectionSpec,
     generate_stream,
-    rerun_scaling_run,
-    scaling_run,
+    scaling_fits,
     score,
 )
 from conftest import (
@@ -226,11 +225,9 @@ def test_criterion_6_streaming_close_to_rerun(injection_runs):
 
 def test_criterion_7_scaling_slopes():
     started = time.perf_counter()
-    cfg = EngineConfig(k=3, l=2)
-    engine = scaling_run(
-        [1000, 2000, 4000, 8000, 16000], cfg=cfg, seed=0, repeats=5
-    )
-    baseline = rerun_scaling_run(8, 4000, cfg=cfg, seed=0)
+    fits = scaling_fits(EngineConfig(k=3, l=2), [1000, 2000, 4000, 8000, 16000], repeats=5,
+                        oracle_steps=8, oracle_slice_nnz=4000, seed=0)
+    engine, baseline = fits["engine"], fits["rerun_baseline"]
     elapsed = time.perf_counter() - started
     assert engine.slope <= 1.3, f"engine slope {engine.slope:.2f}"
     assert baseline.slope >= 1.6, f"re-run baseline slope {baseline.slope:.2f}"

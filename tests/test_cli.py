@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import tensorsplice.cli
-from conftest import SRC
+import tensorsplice.engine
+from conftest import SRC, count_calls
 from tensorsplice.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -153,6 +154,39 @@ class TestRun:
         assert result.returncode == 2
         assert result.stderr.startswith("error: line 2: ")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("policy", ["abort", "skip"])
+    def test_gap_too_long_to_step_through_is_bad_input(self, tmp_path, policy):
+        # Line 2 lies 10**15 bins past line 1; stepping through the empty
+        # bins between them would not end.
+        stream = tmp_path / "in.tsv"
+        stream.write_text("a\tb\t0\t1\na\tb\t1e17\t1\n")
+        result = cli("run", "--input", str(stream), *RUN_FLAGS, "--on-error", policy)
+        error = ("line 2: timestamp '1e17' lies 1000000000000000 bins past bin 0; "
+                 "a gap of more than 10000000 bins is not stepped through")
+        if policy == "abort":
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == f"error: {error}\n"
+        else:
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.count("\n") == 1
+            assert result.stderr.startswith(f"skipping {error}\n")
+
+    def test_skipped_line_assigns_no_label_ids(self, tmp_path):
+        # Line 1's binned column does not parse, so the line is skipped, and
+        # its labels c and d take no ids ahead of a and b.
+        kept = "a\tb\t0\t1\t0\nc\td\t0\t1\t0\n"
+        outputs = []
+        for text in ("c\td\t0\t1\tbad\n" + kept, kept):
+            stream, out = tmp_path / "s.tsv", tmp_path / f"out{len(outputs)}.jsonl"
+            stream.write_text(text)
+            code = main(["run", "--input", str(stream), "--value-col", "3", "--binned-cols", "4",
+                         "--stride", "10", "--t0", "0", "--on-error", "skip", "--k", "1",
+                         "--output", str(out)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1])["blocks"][0]["modes"] == [["a", "c"], ["b", "d"], [0], [0]]
 
     def test_iso_times_and_skip_warnings_in_a_fresh_process(self, tmp_path):
         # The child imports datetime and logging only when a line needs
@@ -714,10 +748,14 @@ GENERATE_ARGS = [
 )
 def test_out_of_range_flag_is_config_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where a generate case would write its files
+    # A bad flag fails before any step or detect runs, also scale's.
+    steps = count_calls(monkeypatch, tensorsplice.engine, "step")
+    detects = count_calls(monkeypatch, tensorsplice.engine, "detect_top_blocks")
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert steps == detects == []
 
 
 def test_negative_column_is_config_error(capsys):
@@ -760,7 +798,9 @@ def test_values_summing_past_the_ceiling_are_input_error(
 
 
 class TestScale:
-    def test_report_shape(self, tmp_path):
+    def test_report_shape(self, tmp_path, monkeypatch):
+        steps = count_calls(monkeypatch, tensorsplice.engine, "step")
+        detects = count_calls(monkeypatch, tensorsplice.engine, "detect_top_blocks")
         out = tmp_path / "scale.json"
         code = main([
             "scale", "--sizes", "60,120,240,480,960", "--repeats", "1",
@@ -776,6 +816,8 @@ class TestScale:
         assert len(report["rerun_baseline"]["points"]) == 4
         lo, hi = report["engine"]["ci95"]
         assert lo <= report["engine"]["slope"] <= hi
+        # One step per size, and a detect in each of those and each re-run stride.
+        assert (len(steps), len(detects)) == (5, 9)
 
 
 def test_unknown_subcommand_is_config_error(capsys):

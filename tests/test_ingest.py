@@ -16,6 +16,7 @@ from tensorsplice import (
     emit_step_output,
     parse_tuples,
 )
+from tensorsplice.ingest import MAX_GAP_BINS
 
 
 def csv_cfg(**overrides) -> IngestConfig:
@@ -69,14 +70,31 @@ class TestParsing:
 
     def test_offset_of_2_pow_53_bins_rejected(self):
         # From 2**53 on, a float quotient cannot tell neighbouring bins apart.
-        events, _ = parse_all([f"a,b,{2**53 - 1}"], csv_cfg(stride=1, t0=0))
-        assert events[0].ids[-1] == 2**53 - 1
+        # A binned column is a mode, not a step, so no gap bound applies to it.
+        events, _ = parse_all([f"a,b,0,{2**53 - 1}"], csv_cfg(stride=1, t0=0, binned_cols=(3,)))
+        assert events[0].ids[2] == 2**53 - 1
         for line, cfg in ((f"a,b,{2**53}", csv_cfg(stride=1, t0=0)),
                           ("a,b,5", csv_cfg(stride=1e-300, t0=0))):
             with pytest.raises(BadTimestamp) as info:
                 parse_all(["a,b,0", line], cfg)
             assert str(info.value).startswith("line 2: ")
             assert "too far from the stream origin" in str(info.value)
+
+    def test_gap_past_max_gap_bins_rejected(self):
+        # The first kept line's gap counts from bin 0; a zero-valued line is
+        # not kept, so its gap is no error.
+        lines = ["a,b,0,0", "a,b,100,1", f"a,b,{MAX_GAP_BINS + 100},1",
+                 f"a,b,{2 * MAX_GAP_BINS + 101},1", f"a,b,{10**9},0"]
+        with pytest.raises(BadTimestamp) as info:
+            parse_all(lines, csv_cfg(stride=1, t0=0, value_col=3))
+        assert str(info.value) == (
+            f"line 4: timestamp '{2 * MAX_GAP_BINS + 101}' lies {MAX_GAP_BINS + 1} bins past "
+            f"bin {MAX_GAP_BINS + 100}; a gap of more than {MAX_GAP_BINS} bins is not stepped through"
+        )
+        events, _ = parse_all(lines, csv_cfg(stride=1, t0=0, value_col=3, on_error="skip"))
+        assert [e.ids[-1] for e in events] == [100, MAX_GAP_BINS + 100]
+        with pytest.raises(BadTimestamp, match="line 1: .* lies 10000001 bins past bin 0;"):
+            parse_all([f"a,b,{MAX_GAP_BINS + 1}"], csv_cfg(stride=1, t0=0))
 
     def test_zero_value_dropped(self):
         events, _ = parse_all(["a,b,100,0", "a,b,120,2"], csv_cfg(value_col=3))
@@ -148,9 +166,10 @@ class TestParsing:
         ("2024-01-01T10:00-05:30", 1704123000),
     ])
     def test_iso_grammar_accepts(self, raw, epoch):
+        # The first line sets the default origin, 2024-01-01T00:00:00Z.
         events, _ = parse_all(["a,b,2024-01-01T00:00:00Z", f"a,b,{raw}"],
-                              csv_cfg(stride=1, time_format="iso", t0=0))
-        assert events[1].ids[-1] == int(epoch)
+                              csv_cfg(stride=1, time_format="iso"))
+        assert events[1].ids[-1] == int(epoch) - 1704067200
 
     @pytest.mark.parametrize("raw", [
         "2024-01-01T00:00:00.5", "20240101T000000", "2024-W01-1", "2024-001",

@@ -1,6 +1,6 @@
 """Rewrites of an input that must leave the output of ``run`` and ``oracle``
 unchanged: the output is a function of the kept tuples, not of how they
-are written."""
+are written or of the lines dropped between them."""
 
 import json
 import os
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorsplice.cli import main
+from tensorsplice.ingest import MAX_GAP_BINS
 from conftest import examples
 
 LABELS = ("a", "b", "c", "d", "e")
@@ -41,13 +42,14 @@ def text(rows, end: str = "\n") -> bytes:
     return "".join("\t".join(row) + end for row in rows).encode()
 
 
-def output(command: str, data: bytes, stdin: bool = False) -> bytes:
+def output(command: str, data: bytes, stdin: bool = False, flags=()) -> bytes:
     """What ``command`` writes for an input file holding ``data``, read by
-    path or, with ``stdin``, as ``--input -`` from that file on fd 0."""
+    path or, with ``stdin``, as ``--input -`` from that file on fd 0; ``flags``
+    follow ``FLAGS``."""
     with tempfile.TemporaryDirectory() as tmp:
         stream, out = Path(tmp, "in.tsv"), Path(tmp, "out.jsonl")
         stream.write_bytes(data)
-        argv = [command, "--input", "-" if stdin else str(stream), *FLAGS,
+        argv = [command, "--input", "-" if stdin else str(stream), *FLAGS, *flags,
                 "--output", str(out)]
         if not stdin:
             assert main(argv) == 0
@@ -98,3 +100,36 @@ def test_injective_relabelling_keeps_the_bytes_after_mapping_back(command, rows,
                 block["modes"][mode] = [labels[label] for label in block["modes"][mode]]
         lines.append(json.dumps(step, separators=(",", ":")) + "\n")
     assert "".join(lines).encode() == output(command, text(rows))
+
+
+# Column 4 is a second timestamp, binned with the stride as a mode.
+SKIP_FLAGS = ["--binned-cols", "4", "--on-error", "skip"]
+
+
+@COMMANDS
+@settings(max_examples=examples(40), deadline=None)
+@given(rows=streams(), data=st.data())
+def test_lines_that_skip_drops_keep_the_bytes(command, rows, data):
+    rows = [(*row, row[2]) for row in rows]
+    want = output(command, text(rows), flags=SKIP_FLAGS)
+    # Bad lines with the labels kept lines have, anywhere. A gap past
+    # MAX_GAP_BINS counts from the last kept line, so it follows one.
+    origin = int(rows[0][2]) // 10 * 10
+    far = str(origin + 10 * (MAX_GAP_BINS + 100))
+    spots = data.draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=4))
+    padded = list(rows)
+    for spot in sorted(spots, reverse=True):
+        user, item = data.draw(st.sampled_from(LABELS)), data.draw(st.sampled_from(LABELS))
+        t = str(data.draw(st.integers(origin, origin + 400)))
+        bad = [
+            (user, item, t, "1", "soon"),  # a binned column that does not parse
+            (user, item, t, "1", str(origin - 10)),  # one before the origin
+            (user, item, "later", "1", t),
+            (user, item, t, "x", t),
+            (user, item, t, "-2", t),
+            (user, item, t, "1"),  # too few columns
+        ]
+        if spot:
+            bad.append((user, item, far, "1", far))
+        padded.insert(spot, data.draw(st.sampled_from(bad)))
+    assert output(command, text(padded), flags=SKIP_FLAGS) == want

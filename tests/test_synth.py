@@ -6,7 +6,9 @@ import pytest
 
 from tensorsplice import (
     Block,
+    ConfigError,
     DensityInfeasible,
+    EngineConfig,
     IngestConfig,
     ModeDictionary,
     StepOutput,
@@ -18,8 +20,7 @@ from tensorsplice.synth import (
     _t95,
     fit_loglog,
     generate_stream,
-    rerun_scaling_run,
-    scaling_run,
+    scaling_fits,
     score,
 )
 
@@ -221,35 +222,42 @@ class TestScore:
 class TestScaling:
     SIZES = (100, 200, 400, 800, 1600)
 
+    def fit(self, seconds):
+        return fit_loglog([(size, seconds(size)) for size in self.SIZES])
+
     def test_constant_time_stub_slope_zero(self):
-        report = scaling_run(self.SIZES, timer=lambda nnz: 1e-3)
+        report = self.fit(lambda nnz: 1e-3)
         assert report.slope == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_stub_slope_one(self):
-        report = scaling_run(self.SIZES, timer=lambda nnz: nnz * 1e-6)
+        report = self.fit(lambda nnz: nnz * 1e-6)
         assert report.slope == pytest.approx(1.0, abs=1e-9)
         assert report.ci_low <= 1.0 <= report.ci_high
 
     def test_quadratic_stub(self):
-        report = scaling_run(self.SIZES, timer=lambda nnz: nnz * nnz * 1e-9)
+        report = self.fit(lambda nnz: nnz * nnz * 1e-9)
         assert report.slope == pytest.approx(2.0, abs=1e-9)
 
+    @staticmethod
+    def fits(**overrides):
+        args = dict(cfg=EngineConfig(k=2, l=1), sizes=(4, 8, 16, 64), repeats=1,
+                    oracle_steps=4, oracle_slice_nnz=20)
+        args.update(overrides)
+        return scaling_fits(**args)
+
     def test_needs_enough_span(self):
-        with pytest.raises(ValueError):
-            scaling_run((100, 200, 400, 800), timer=lambda nnz: 1.0)
-        with pytest.raises(ValueError):
-            scaling_run((100, 200, 1600), timer=lambda nnz: 1.0)
-        with pytest.raises(ValueError):
-            scaling_run((0, 100, 200, 1600))
+        for sizes in ((100, 200, 400, 800), (100, 200, 1600), (0, 100, 200, 1600)):
+            with pytest.raises(ConfigError, match="at least 4 positive sizes spanning"):
+                self.fits(sizes=sizes)
 
     def test_repeats_must_be_positive(self):
-        with pytest.raises(ValueError, match="repeats must be at least 1"):
-            scaling_run(self.SIZES, repeats=0)
+        with pytest.raises(ValueError, match="repeats and oracle_slice_nnz must be at least 1"):
+            self.fits(repeats=0)
 
     @pytest.mark.parametrize("slice_nnz", [0, -1])
     def test_rerun_slice_nnz_must_be_positive(self, slice_nnz):
-        with pytest.raises(ValueError, match="slice_nnz must be at least 1"):
-            rerun_scaling_run(4, slice_nnz)
+        with pytest.raises(ValueError, match="repeats and oracle_slice_nnz must be at least 1"):
+            self.fits(oracle_slice_nnz=slice_nnz)
 
     def test_fit_requires_three_points(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import tracemalloc
 
 import tensorsplice.detect
 import tensorsplice.engine
+import tensorsplice.splice
 from tensorsplice import TensorSlice, detect_top_blocks, synth
 from tensorsplice.cli import main
 from tensorsplice.ingest import IngestConfig, ModeDictionary, parse_tuples
@@ -88,11 +89,15 @@ def test_steady_stream_work_counters(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tensorsplice.engine, "splice_pair", counted_splice)
     detects = count_calls(monkeypatch, tensorsplice.engine, "detect_top_blocks")
     peeled = count_peels(monkeypatch)
+    # The two kinds of pass in splice_pair's loop.
+    drains = count_calls(monkeypatch, tensorsplice.splice, "_empty_q_drain", keep_args=False)
+    forced = count_calls(monkeypatch, tensorsplice.splice, "_forced_pass", keep_args=False)
     assert run_digest("run", STEADY, tmp_path, capsys) == DIGEST
     assert splices == {
         "calls": 2849, "productive_calls": 495, "donor_nnz": 914741, "mass_moved": 19451,
     }
     assert (len(detects), len(peeled), sum(peeled)) == (10, 46, 15959)
+    assert (len(drains), len(forced)) == (644, 1368)
 
 
 def test_oracle_stream_work_counters(tmp_path, monkeypatch, capsys):
