@@ -104,20 +104,27 @@ def _order_key(block: Block):
 def step(
     state: EngineState, slice_: TensorSlice, cfg: EngineConfig
 ) -> tuple[EngineState, StepOutput]:
-    """Process one stride window and report the current top blocks."""
-    expected = (state.frontier, state.frontier + 1)
+    """Process one stride window and report the current top blocks.
+
+    ``state`` is left as it was. The step keeps no reference to it once
+    read, nor to a block a splice has replaced, so a caller that holds no
+    other reference to the state frees each replaced block at once.
+    """
+    frontier = state.frontier
+    expected = (frontier, frontier + 1)
     if tuple(slice_.time_range) != expected:
         raise OutOfOrderSlice(
             f"slice covers bins {slice_.time_range}, engine expected {expected}"
         )
 
     started = time.perf_counter()
-    incoming = detect_top_blocks(slice_, cfg.pool_size) if slice_.nnz else []
+    pool = state.retained + (detect_top_blocks(slice_, cfg.pool_size) if slice_.nnz else [])
     detected_at = time.perf_counter()
 
-    pool = sorted(state.retained + incoming, key=_order_key)
     # Pairs of retained blocks found sterile in earlier steps still are.
     sterile = set(state.sterile)
+    del state  # the pool holds the step's only reference to each block
+    pool.sort(key=_order_key)
     for _ in range(cfg.max_epochs):
         changed = False
         for i in range(len(pool)):
@@ -155,7 +162,7 @@ def step(
     )
     new_state = EngineState(
         retained=retained,
-        frontier=state.frontier + 1,
+        frontier=frontier + 1,
         sterile={pair for pair in sterile if pair[0] in kept and pair[1] in kept},
     )
     return new_state, output
@@ -190,10 +197,13 @@ def bin_slices(events: Iterable[Event]) -> Iterator[TensorSlice]:
 
 def run_stream(events: Iterable[Event], cfg: EngineConfig) -> Iterator[StepOutput]:
     """Step through a bin-ordered event stream, one output per bin."""
-    state = EngineState()
+    # The state is popped off a one-item list for each step, so the step
+    # holds the only reference to it and frees each block a splice replaces.
+    states = [EngineState()]
     for slice_ in bin_slices(events):
-        state, output = step(state, slice_, cfg)
+        *states, output = step(states.pop(), slice_, cfg)
         yield output
+        del output  # not kept alive while the next step is computed
 
 
 def iter_rerun_outputs(

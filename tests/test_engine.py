@@ -1,3 +1,4 @@
+import operator
 import random
 from pathlib import Path
 
@@ -102,6 +103,20 @@ class TestStep:
         state2, _ = step(state, slice_for(1, {}), CFG)
         assert state2.retained == state.retained
         assert sorted(ranked) == sorted(serials)
+
+    def test_a_productive_step_leaves_its_input_state_as_it_was(self):
+        users, objects = range(3), range(3)
+        bin0 = dense_bin(0, users, objects) | {(7, 8, 0): 1}
+        state, _ = step(EngineState(), slice_for(0, bin0), CFG)
+        retained, sterile = list(state.retained), set(state.sterile)
+        assert len(retained) == 2 and sterile
+        after, _ = step(state, slice_for(1, dense_bin(1, users, objects)), CFG)
+        # A splice replaced the retained core, and the step found the new
+        # pool's pairs sterile.
+        assert retained[0].serial not in {block.serial for block in after.retained}
+        assert after.sterile - sterile
+        assert state.frontier == 1 and state.sterile == sterile
+        assert len(state.retained) == 2 and all(map(operator.is_, state.retained, retained))
 
     def test_cross_stride_block_is_spliced(self):
         # Same user/object core in two adjacent bins; after the second
