@@ -56,14 +56,15 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _shape(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.lower().split("x"))
     except ValueError:
-        raise ConfigError(f"expected a shape like 50x20, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a shape like 50x20, got {text!r}") from None
 
 
 def number(text: str) -> int | float:
@@ -74,13 +75,13 @@ def number(text: str) -> int | float:
 
 def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="tuple file, one per line; - reads stdin")
-    p.add_argument("--modes", default="0,1",
+    p.add_argument("--modes", type=_csv_ints, default=(0, 1), dest="mode_cols", metavar="MODES",
                    help="comma-separated categorical column indices (default 0,1)")
     p.add_argument("--time-col", type=int, default=2,
                    help="streaming timestamp column (default 2)")
     p.add_argument("--value-col", type=int, default=None,
                    help="value column; omitted means every tuple counts 1")
-    p.add_argument("--binned-cols", default="",
+    p.add_argument("--binned-cols", type=_csv_ints, default=(),
                    help="extra timestamp columns binned with the stride "
                         "and kept as ordinary modes")
     p.add_argument("--stride", type=number, required=True,
@@ -90,7 +91,7 @@ def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
                         "floored to a multiple of --stride")
     p.add_argument("--delimiter", default="\t")
     p.add_argument("--time-format", choices=("epoch", "iso"), default="epoch")
-    p.add_argument("--header", action="store_true", help="skip the first line")
+    p.add_argument("--header", action="store_true", dest="has_header", help="skip the first line")
     p.add_argument("--on-error", choices=("abort", "skip"), default="abort")
 
 
@@ -103,23 +104,9 @@ def _add_engine_flags(p: argparse.ArgumentParser, k_default: int = 10) -> None:
                    help="splicing sweeps per step (default 5)")
 
 
-def _ingest_config(args) -> IngestConfig:
-    return IngestConfig(
-        mode_cols=_csv_ints(args.modes),
-        time_col=args.time_col,
-        stride=args.stride,
-        value_col=args.value_col,
-        binned_cols=_csv_ints(args.binned_cols),
-        t0=args.t0,
-        delimiter=args.delimiter,
-        time_format=args.time_format,
-        has_header=args.header,
-        on_error=args.on_error,
-    )
-
-
-def _engine_config(args) -> EngineConfig:
-    return EngineConfig(k=args.k, l=args.l, max_epochs=args.max_epochs)
+def _from_flags(cls, args, names=None):
+    """A ``cls`` from the flags named by its fields: ``names``, else ``cls._fields``."""
+    return cls(**{name: getattr(args, name) for name in names or cls._fields})
 
 
 def _same_file(a: str | int, b: str) -> bool:
@@ -188,8 +175,8 @@ def _read_events(
 def cmd_stream(args) -> int:
     """``run`` and ``oracle``: one JSON line per stride, a summary on stderr."""
     _refuse_overwrite(args, "input")
-    cfg = _ingest_config(args)
-    engine_cfg = _engine_config(args)
+    cfg = _from_flags(IngestConfig, args)
+    engine_cfg = _from_flags(EngineConfig, args)
     dicts = ModeDictionary.for_config(cfg)
     outputs_of = run_stream if args.command == "run" else iter_rerun_outputs
     counts = {"nnz": 0}
@@ -217,21 +204,12 @@ def cmd_stream(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    import dataclasses
     from .synth import InjectionSpec, generate_stream
     if _same_file(args.output, args.truth):
         raise ConfigError(f"--truth {args.truth} is the --output file")
-    spec = InjectionSpec(
-        block_shape=_shape(args.block),
-        density=args.density,
-        span_bins=args.span,
-        n_bins=args.bins,
-        background_tuples=args.background_tuples,
-        background_shape=_shape(args.background),
-        seed=args.seed,
-        start_bin=args.start_bin,
-        stride=int(args.gen_stride),
-        value_mode=args.density_mode,
-    )
+    spec = _from_flags(InjectionSpec, args,
+                       [field.name for field in dataclasses.fields(InjectionSpec)])
     lines, truth = generate_stream(spec)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
@@ -270,7 +248,7 @@ def cmd_evaluate(args) -> int:
         value_col=n_categorical + 1,
         t0=truth.t0,
     )
-    engine_cfg = _engine_config(args)
+    engine_cfg = _from_flags(EngineConfig, args)
     dicts = ModeDictionary.for_config(cfg)
     density_series: list[float] = []
     timings: list[float] = []
@@ -300,7 +278,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_scale(args) -> int:
     from .synth import scaling_fits
-    fits = scaling_fits(_engine_config(args), _csv_ints(args.sizes), args.repeats,
+    fits = scaling_fits(_from_flags(EngineConfig, args), args.sizes, args.repeats,
                         args.oracle_steps, args.oracle_slice_nnz, seed=args.seed)
     payload = {"schema": SCHEMA_VERSION}
     for name, fit in fits.items():
@@ -327,20 +305,23 @@ def build_parser() -> _Parser:
         p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("generate", help="synthesize a stream with a planted block")
-    p.add_argument("--block", required=True, help="planted shape, e.g. 50x20")
+    p.add_argument("--block", type=_shape, required=True, dest="block_shape", metavar="BLOCK",
+                   help="planted shape, e.g. 50x20")
     p.add_argument("--density", type=float, required=True,
                    help="planted cell fraction of the block volume")
-    p.add_argument("--span", type=int, required=True, help="bins the block occupies")
-    p.add_argument("--bins", type=int, required=True, help="total stream bins")
+    p.add_argument("--span", type=int, required=True, dest="span_bins", metavar="SPAN",
+                   help="bins the block occupies")
+    p.add_argument("--bins", type=int, required=True, dest="n_bins", metavar="BINS",
+                   help="total stream bins")
     p.add_argument("--background-tuples", type=int, required=True)
-    p.add_argument("--background", required=True,
-                   help="background id ranges, e.g. 3000x2000")
+    p.add_argument("--background", type=_shape, required=True, dest="background_shape",
+                   metavar="BACKGROUND", help="background id ranges, e.g. 3000x2000")
     p.add_argument("--start-bin", type=int, default=0)
-    p.add_argument("--gen-stride", type=int, default=100,
+    p.add_argument("--gen-stride", type=int, default=100, dest="stride", metavar="GEN_STRIDE",
                    help="source time units per bin in the written file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density-mode", choices=("cells", "multi"), default="cells",
-                   help="cells: distinct cells (density <= 1); multi: draw with "
+    p.add_argument("--density-mode", dest="value_mode", choices=("cells", "multi"),
+                   default="cells", help="cells: distinct cells (density <= 1); multi: draw with "
                         "replacement so entry values exceed 1")
     p.add_argument("--output", required=True, help="tuple file to write")
     p.add_argument("--truth", required=True, help="ground-truth JSON to write")
@@ -359,7 +340,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("scale", help="log-log runtime slopes for engine and baseline")
-    p.add_argument("--sizes", default="1000,2000,4000,8000,16000",
+    p.add_argument("--sizes", type=_csv_ints, default=(1000, 2000, 4000, 8000, 16000),
                    help="per-slice nnz targets for the engine measurement")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)

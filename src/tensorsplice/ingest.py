@@ -52,8 +52,9 @@ MAX_GAP_BINS = 10**7
 class IngestConfig:
     """Column roles and binning for one tuple file."""
 
-    __slots__ = ("mode_cols", "time_col", "stride", "value_col", "binned_cols", "t0",
-                 "delimiter", "time_format", "has_header", "on_error")
+    _fields = ("mode_cols", "time_col", "stride", "value_col", "binned_cols", "t0",
+               "delimiter", "time_format", "has_header", "on_error")
+    __slots__ = (*_fields, "n_columns")
 
     def __init__(
         self,
@@ -91,6 +92,7 @@ class IngestConfig:
         self.value_col, self.binned_cols, self.t0 = value_col, binned_cols, t0
         self.delimiter, self.time_format = delimiter, time_format
         self.has_header, self.on_error = has_header, on_error
+        self.n_columns = max(cols) + 1  # the fewest columns a line may have
 
 
 class ModeDictionary:
@@ -203,12 +205,7 @@ def parse_tuples(
     past ``MASS_CEILING`` raises ``IngestError``. A dropped or skipped line
     never sets the default origin and assigns no label ids.
     """
-    needed = max(
-        (*cfg.mode_cols, cfg.time_col, *cfg.binned_cols),
-        default=0,
-    )
-    if cfg.value_col is not None:
-        needed = max(needed, cfg.value_col)
+    n_columns = cfg.n_columns
     t0 = cfg.t0
     origin = ""  # how an error names a default origin
     last_bin = 0  # the time bin of the last yielded tuple
@@ -222,14 +219,14 @@ def parse_tuples(
             continue
         try:
             parts = line.split(cfg.delimiter)
-            if len(parts) <= needed:
+            if len(parts) < n_columns:
                 raise MalformedLine(
-                    f"has {len(parts)} columns, need at least {needed + 1}", lineno
+                    f"has {len(parts)} columns, need at least {n_columns}", lineno
                 )
-            if len(parts) > needed + 1 and not warned_extra:
+            if len(parts) > n_columns and not warned_extra:
                 import logging  # only a warning needs it
                 logging.getLogger(__name__).warning(
-                    "line %d: extra columns beyond %d are ignored", lineno, needed + 1)
+                    "line %d: extra columns beyond %d are ignored", lineno, n_columns)
                 warned_extra = True
 
             raw_ts = parts[cfg.time_col]

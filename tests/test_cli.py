@@ -758,6 +758,69 @@ def test_out_of_range_flag_is_config_error(argv, capsys, tmp_path, monkeypatch):
     assert steps == detects == []
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", *STREAM_ARGS, "--modes", "a,b"], "--modes"),
+        (["run", *STREAM_ARGS, "--binned-cols", "x"], "--binned-cols"),
+        (["scale", *SCALE_FLAGS, "--sizes", "1,x"], "--sizes"),
+        ([*GENERATE_ARGS, "--block", "3y2"], "--block"),
+        ([*GENERATE_ARGS, "--background", "8x"], "--background"),
+    ],
+    ids=["run-modes", "run-binned-cols", "scale-sizes", "generate-block",
+         "generate-background"],
+)
+def test_malformed_flag_value_names_its_flag(argv, flag, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = count_calls(monkeypatch, tensorsplice.engine, "step")
+    detects = count_calls(monkeypatch, tensorsplice.engine, "detect_top_blocks")
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    assert steps == detects == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each subcommand's ``--help`` usage block with its whitespace collapsed, so
+# the terminal width does not matter: the option strings, which are required,
+# and each one's metavar.
+_STREAM_USAGE = (
+    "[-h] --input INPUT [--modes MODES] [--time-col TIME_COL] [--value-col VALUE_COL] "
+    "[--binned-cols BINNED_COLS] --stride STRIDE [--t0 T0] [--delimiter DELIMITER] "
+    "[--time-format {epoch,iso}] [--header] [--on-error {abort,skip}] [--k K] [--l L] "
+    "[--max-epochs MAX_EPOCHS] [--output OUTPUT]"
+)
+USAGE = {
+    "run": f"usage: tensorsplice run {_STREAM_USAGE}",
+    "oracle": f"usage: tensorsplice oracle {_STREAM_USAGE}",
+    "generate": (
+        "usage: tensorsplice generate [-h] --block BLOCK --density DENSITY --span SPAN "
+        "--bins BINS --background-tuples BACKGROUND_TUPLES --background BACKGROUND "
+        "[--start-bin START_BIN] [--gen-stride GEN_STRIDE] [--seed SEED] "
+        "[--density-mode {cells,multi}] --output OUTPUT --truth TRUTH"
+    ),
+    "evaluate": (
+        "usage: tensorsplice evaluate [-h] --input INPUT --truth TRUTH [--k K] [--l L] "
+        "[--max-epochs MAX_EPOCHS] [--per-entry] [--timings] [--output OUTPUT]"
+    ),
+    "scale": (
+        "usage: tensorsplice scale [-h] [--sizes SIZES] [--seed SEED] [--repeats REPEATS] "
+        "[--oracle-steps ORACLE_STEPS] [--oracle-slice-nnz ORACLE_SLICE_NNZ] [--k K] "
+        "[--l L] [--max-epochs MAX_EPOCHS] [--output OUTPUT]"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE))
+def test_help_usage_is_unchanged(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert " ".join(usage.split()) == USAGE[command]
+
+
 def test_negative_column_is_config_error(capsys):
     code = main(["run", *STREAM_ARGS, "--time-col", "-1"])
     assert code == 3
