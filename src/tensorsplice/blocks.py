@@ -53,7 +53,16 @@ def running_sum(values):
     return reduce(add, values, 0)
 
 
-class Event(namedtuple("Event", "ids value", defaults=(1,))):
+def record(typename: str, field_names: str, defaults=()):
+    """A namedtuple class whose ``_make``, and so ``_replace``, builds through
+    ``cls(*values)``, so the checks a subclass runs in ``__new__`` also
+    guard every record derived from a checked one."""
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Event(record("Event", "ids value", defaults=(1,))):
     """One time-stamped tuple: a dense id per mode plus a positive value.
 
     ``ids[-1]`` is the time-bin ordinal assigned at ingestion.

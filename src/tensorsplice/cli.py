@@ -104,9 +104,9 @@ def _add_engine_flags(p: argparse.ArgumentParser, k_default: int = 10) -> None:
                    help="splicing sweeps per step (default 5)")
 
 
-def _from_flags(cls, args, names=None):
-    """A ``cls`` from the flags named by its fields: ``names``, else ``cls._fields``."""
-    return cls(**{name: getattr(args, name) for name in names or cls._fields})
+def _from_flags(cls, args):
+    """A ``cls`` from the flags named by its fields, ``cls._fields``."""
+    return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
 def _same_file(a: str | int, b: str) -> bool:
@@ -204,12 +204,10 @@ def cmd_stream(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    import dataclasses
     from .synth import InjectionSpec, generate_stream
     if _same_file(args.output, args.truth):
         raise ConfigError(f"--truth {args.truth} is the --output file")
-    spec = _from_flags(InjectionSpec, args,
-                       [field.name for field in dataclasses.fields(InjectionSpec)])
+    spec = _from_flags(InjectionSpec, args)
     lines, truth = generate_stream(spec)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))

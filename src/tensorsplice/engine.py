@@ -22,16 +22,15 @@ splices pairs that involve a new seed or a block changed since.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .blocks import Block, Event, TensorSlice
+from .blocks import Block, Event, TensorSlice, record
 from .detect import detect_top_blocks
 from .errors import ConfigError, OutOfOrderSlice, TimeRegression
 from .splice import _denser_first, splice_pair
 
 
-class EngineConfig(namedtuple("EngineConfig", "k l max_epochs")):
+class EngineConfig(record("EngineConfig", "k l max_epochs")):
     """Stream-tracking knobs.
 
     ``k`` blocks are reported, ``l`` extra ones are retained as splice
@@ -55,30 +54,24 @@ class EngineConfig(namedtuple("EngineConfig", "k l max_epochs")):
         return self.k + self.l
 
 
-class EngineState:
+class EngineState(record("EngineState", "retained frontier sterile",
+                         defaults=((), 0, frozenset()))):
     """Retained blocks, the time frontier and the sterile-pair memo,
-    between steps."""
+    between steps.
 
-    __slots__ = ("retained", "frontier", "sterile")
+    ``frontier`` is the next bin ordinal to be processed, and the step
+    index. ``sterile`` holds the serial pairs (pool order) that
+    ``splice_pair`` returned unchanged, kept only for pairs of retained
+    blocks.
+    """
 
-    def __init__(self, retained: list[Block] | None = None, frontier: int = 0,
-                 sterile: set[tuple[int, int]] | None = None):
-        self.retained = [] if retained is None else retained
-        self.frontier = frontier  # next bin ordinal to be processed, and the step index
-        # Serial pairs (pool order) that splice_pair returned unchanged, kept
-        # only for pairs of retained blocks.
-        self.sterile = set() if sterile is None else sterile
+    __slots__ = ()
 
 
-class StepOutput:
+class StepOutput(record("StepOutput", "time_range top_k timing")):
     """What one step reports: the top blocks and how long the phases took."""
 
-    __slots__ = ("time_range", "top_k", "timing")
-
-    def __init__(self, time_range: tuple[int, int], top_k: list[Block], timing: dict[str, float]):
-        self.time_range = time_range
-        self.top_k = top_k
-        self.timing = timing
+    __slots__ = ()
 
 
 class _TieBreak:
@@ -118,7 +111,7 @@ def step(
         )
 
     started = time.perf_counter()
-    pool = state.retained + (detect_top_blocks(slice_, cfg.pool_size) if slice_.nnz else [])
+    pool = [*state.retained, *(detect_top_blocks(slice_, cfg.pool_size) if slice_.nnz else ())]
     detected_at = time.perf_counter()
 
     # Pairs of retained blocks found sterile in earlier steps still are.

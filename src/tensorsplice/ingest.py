@@ -19,7 +19,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 
-from .blocks import Block, Event
+from .blocks import Block, Event, record
 from .engine import StepOutput
 from .errors import (
     BadTimestamp,
@@ -49,50 +49,47 @@ MASS_CEILING = sys.float_info.max / 2**66
 MAX_GAP_BINS = 10**7
 
 
-class IngestConfig:
-    """Column roles and binning for one tuple file."""
+class IngestConfig(record("IngestConfig", "mode_cols time_col stride value_col binned_cols t0 "
+                          "delimiter time_format has_header on_error",
+                          defaults=(None, (), None, "\t", "epoch", False, "abort"))):
+    """Column roles and binning for one tuple file. ``time_format`` is
+    ``"epoch"`` or ``"iso"``, ``on_error`` is ``"abort"`` or ``"skip"``."""
 
-    _fields = ("mode_cols", "time_col", "stride", "value_col", "binned_cols", "t0",
-               "delimiter", "time_format", "has_header", "on_error")
-    __slots__ = (*_fields, "n_columns")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        mode_cols: tuple[int, ...],
-        time_col: int,
-        stride: int | float,
-        value_col: int | None = None,
-        binned_cols: tuple[int, ...] = (),
-        t0: int | float | None = None,
-        delimiter: str = "\t",
-        time_format: str = "epoch",  # or "iso"
-        has_header: bool = False,
-        on_error: str = "abort",  # or "skip"
-    ):
-        if len(mode_cols) < 1:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if len(self.mode_cols) < 1:
             raise ConfigError("need at least one categorical mode column")
-        if not 0 < stride < math.inf:
+        if not 0 < self.stride < math.inf:
             raise ConfigError("stride must be positive and finite")
-        if t0 is not None and not math.isfinite(t0):
+        if self.t0 is not None and not math.isfinite(self.t0):
             raise ConfigError("t0 must be finite")
-        if not delimiter:
+        if not self.delimiter:
             raise ConfigError("delimiter cannot be empty")
-        cols = [*mode_cols, *binned_cols, time_col]
-        if value_col is not None:
-            cols.append(value_col)
+        cols = self._roles
         if min(cols) < 0:
             raise ConfigError("column indices cannot be negative")
         if len(set(cols)) < len(cols):
             raise ConfigError("a column cannot have two roles (mode, binned, time, value)")
-        if time_format not in ("epoch", "iso"):
-            raise ConfigError(f"unknown time format {time_format!r}")
-        if on_error not in ("abort", "skip"):
-            raise ConfigError(f"unknown error policy {on_error!r}")
-        self.mode_cols, self.time_col, self.stride = mode_cols, time_col, stride
-        self.value_col, self.binned_cols, self.t0 = value_col, binned_cols, t0
-        self.delimiter, self.time_format = delimiter, time_format
-        self.has_header, self.on_error = has_header, on_error
-        self.n_columns = max(cols) + 1  # the fewest columns a line may have
+        if self.time_format not in ("epoch", "iso"):
+            raise ConfigError(f"unknown time format {self.time_format!r}")
+        if self.on_error not in ("abort", "skip"):
+            raise ConfigError(f"unknown error policy {self.on_error!r}")
+        return self
+
+    @property
+    def _roles(self) -> list[int]:
+        """Every column with a role: modes, binned, time, then any value."""
+        cols = [*self.mode_cols, *self.binned_cols, self.time_col]
+        if self.value_col is not None:
+            cols.append(self.value_col)
+        return cols
+
+    @property
+    def n_columns(self) -> int:
+        """The fewest columns a line may have."""
+        return max(self._roles) + 1
 
 
 class ModeDictionary:
@@ -205,20 +202,21 @@ def parse_tuples(
     past ``MASS_CEILING`` raises ``IngestError``. A dropped or skipped line
     never sets the default origin and assigns no label ids.
     """
+    (mode_cols, time_col, stride, value_col, binned_cols, t0, delimiter, time_format,
+     has_header, on_error) = cfg
     n_columns = cfg.n_columns
-    t0 = cfg.t0
     origin = ""  # how an error names a default origin
     last_bin = 0  # the time bin of the last yielded tuple
     total = 0  # sum of the values yielded so far
     warned_extra = False
     for lineno, raw_line in enumerate(lines, 1):
-        if cfg.has_header and lineno == 1:
+        if has_header and lineno == 1:
             continue
         line = raw_line.rstrip("\r\n")
         if not line:
             continue
         try:
-            parts = line.split(cfg.delimiter)
+            parts = line.split(delimiter)
             if len(parts) < n_columns:
                 raise MalformedLine(
                     f"has {len(parts)} columns, need at least {n_columns}", lineno
@@ -229,19 +227,19 @@ def parse_tuples(
                     "line %d: extra columns beyond %d are ignored", lineno, n_columns)
                 warned_extra = True
 
-            raw_ts = parts[cfg.time_col]
-            ts = _parse_timestamp(raw_ts, cfg.time_format, lineno)
+            raw_ts = parts[time_col]
+            ts = _parse_timestamp(raw_ts, time_format, lineno)
             line_t0, line_origin = t0, origin
             if line_t0 is None:  # the origin, if this line is kept
-                line_t0 = _floored_origin(ts, cfg.stride)
+                line_t0 = _floored_origin(ts, stride)
                 line_origin = (
                     f" {line_t0}, the first kept tuple's time {raw_ts} (line {lineno}) "
                     "floored to a multiple of the stride; "
                     "pass --t0 with the earliest timestamp"
                 )
-            time_bin = _time_bin(ts, line_t0, cfg.stride, lineno, raw_ts, line_origin)
+            time_bin = _time_bin(ts, line_t0, stride, lineno, raw_ts, line_origin)
 
-            value = 1 if cfg.value_col is None else _parse_value(parts[cfg.value_col], lineno)
+            value = 1 if value_col is None else _parse_value(parts[value_col], lineno)
             if value == 0:
                 continue
             if time_bin - last_bin > MAX_GAP_BINS:
@@ -249,16 +247,16 @@ def parse_tuples(
                     f"timestamp {raw_ts!r} lies {time_bin - last_bin} bins past bin {last_bin}; "
                     f"a gap of more than {MAX_GAP_BINS} bins is not stepped through", lineno)
             binned = [
-                _time_bin(_parse_timestamp(parts[col], cfg.time_format, lineno), line_t0,
-                          cfg.stride, lineno, parts[col], line_origin, col)
-                for col in cfg.binned_cols
+                _time_bin(_parse_timestamp(parts[col], time_format, lineno), line_t0,
+                          stride, lineno, parts[col], line_origin, col)
+                for col in binned_cols
             ]
             # Labels get ids only after every check that can skip the line.
-            ids = [dicts.encode(m, parts[col]) for m, col in enumerate(cfg.mode_cols)]
+            ids = [dicts.encode(m, parts[col]) for m, col in enumerate(mode_cols)]
             ids += binned
             ids.append(time_bin)
         except (MalformedLine, BadTimestamp, NegativeValue) as exc:
-            if cfg.on_error == "abort":
+            if on_error == "abort":
                 raise
             import logging  # only a warning needs it
             logging.getLogger(__name__).warning("skipping %s", exc)

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass, field, fields
 
-from .blocks import Event
+from .blocks import Event, record
 from .engine import EngineConfig, StepOutput, iter_rerun_outputs, run_stream
 from .errors import ConfigError, DensityInfeasible, IngestError
 from .ingest import SCHEMA_VERSION, ModeDictionary
@@ -31,29 +30,22 @@ def _label(mode: int, idx: int) -> str:
     return f"{prefix}{idx}"
 
 
-@dataclass(frozen=True)
-class InjectionSpec:
+class InjectionSpec(record("InjectionSpec", "block_shape density span_bins n_bins "
+                           "background_tuples background_shape seed start_bin stride "
+                           "value_mode", defaults=(0, 100, "cells"))):
     """One planted block inside uniform background noise.
 
     ``density`` is the planted cell fraction: entries = round(density *
     block volume), volume counting the time span. In ``cells`` mode the
     entries are distinct cells (density at most 1); in ``multi`` mode
     cells are drawn with replacement so values above 1 appear and density
-    may exceed 1.
+    may exceed 1. ``value_mode`` is ``"cells"`` or ``"multi"``.
     """
 
-    block_shape: tuple[int, ...]
-    density: float
-    span_bins: int
-    n_bins: int
-    background_tuples: int
-    background_shape: tuple[int, ...]
-    seed: int
-    start_bin: int = 0
-    stride: int = 100
-    value_mode: str = "cells"  # or "multi"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.block_shape) != len(self.background_shape):
             raise DensityInfeasible("block and background mode counts differ")
         if not self.block_shape or any(c < 1 for c in self.block_shape):
@@ -79,6 +71,7 @@ class InjectionSpec:
                 f"{self.injected_nnz} cells exceed the block volume {self.volume}; "
                 "use value_mode='multi' for densities above 1"
             )
+        return self
 
     @property
     def volume(self) -> int:
@@ -102,24 +95,18 @@ _TRUTH_FIELDS = (
 )
 
 
-@dataclass
-class InjectedTruth:
-    """What was planted, in raw-label terms, plus replay parameters."""
+class InjectedTruth(record("InjectedTruth", "mode_ids span density seed stride t0 n_bins cells",
+                           defaults=(None,))):
+    """What was planted, in raw-label terms, plus replay parameters.
+    ``span`` is the ``[start, end)`` bin pair, always a tuple."""
 
-    mode_ids: list[list[str]]
-    span: tuple[int, int]  # [start, end) bins
-    density: float
-    seed: int
-    stride: int
-    t0: int
-    n_bins: int
-    cells: list | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.span = tuple(self.span)
+    def __new__(cls, mode_ids, span, *rest, **kwargs):
+        return super().__new__(cls, mode_ids, tuple(span), *rest, **kwargs)
 
     def to_json(self) -> dict:
-        return {"schema": SCHEMA_VERSION, **asdict(self)}
+        return {"schema": SCHEMA_VERSION, **self._asdict()}
 
     @classmethod
     def from_json(cls, obj) -> "InjectedTruth":
@@ -150,16 +137,13 @@ class InjectedTruth:
             )
         ):
             raise IngestError("truth field 'cells' must be null or a list of cells")
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+        return cls(**{name: obj[name] for name in cls._fields if name in obj})
 
 
-@dataclass
-class EvalReport:
+class EvalReport(record("EvalReport", "precision recall f_measure")):
     """Detection quality against the planted block."""
 
-    precision: float
-    recall: float
-    f_measure: float
+    __slots__ = ()
 
 
 def _decode_cell(offset: int, shape: Sequence[int]) -> list[int]:
@@ -275,12 +259,10 @@ def score(
 # Runtime scaling
 
 
-@dataclass
-class ScalingReport:
-    slope: float
-    ci_low: float
-    ci_high: float
-    points: list[tuple[int, float]] = field(default_factory=list)
+class ScalingReport(record("ScalingReport", "slope ci_low ci_high points")):
+    """A log-log slope, its 95% interval and the fitted ``(x, y)`` points."""
+
+    __slots__ = ()
 
 
 # Two-sided 95% critical values of Student's t by degrees of freedom.

@@ -887,20 +887,32 @@ def test_unknown_subcommand_is_config_error(capsys):
     assert main(["frobnicate"]) == 3
 
 
-def test_cli_imports_only_what_run_and_oracle_execute():
+def modules_loaded_by_import(module: str) -> set[str]:
+    """The modules a fresh interpreter loads to import ``module``."""
     # -S keeps site-packages' .pth files, which import modules of their
     # own, out of the child.
     script = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); before = set(sys.modules)\n"
-        "import tensorsplice.cli\n"
+        f"import {module}\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                             text=True, timeout=TIMEOUT_S)
     assert result.returncode == 0, result.stderr
-    added = set(result.stdout.split())
+    return set(result.stdout.split())
+
+
+def test_cli_imports_only_what_run_and_oracle_execute():
+    added = modules_loaded_by_import("tensorsplice.cli")
     assert "tensorsplice.cli" in added
     unused = {"tensorsplice.synth", "dataclasses", "inspect", "logging", "datetime", "random",
               "typing"}
     assert added & unused == set()
     assert [name for name in tensorsplice.__all__ if not hasattr(tensorsplice, name)] == []
+
+
+def test_synth_loads_neither_dataclasses_nor_inspect():
+    # Every record is a namedtuple, which needs neither module.
+    added = modules_loaded_by_import("tensorsplice.synth")
+    assert "tensorsplice.synth" in added
+    assert added & {"dataclasses", "inspect"} == set()

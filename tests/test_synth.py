@@ -206,7 +206,7 @@ class TestScore:
 
     def test_per_entry_mode(self):
         dicts, truth = self._setup()
-        truth.cells = [["a", "x", 0], ["b", "y", 0]]
+        truth = truth._replace(cells=[["a", "x", 0], ["b", "y", 0]])
         block = Block(3, {(0, 0, 0): 1, (1, 0, 0): 1})  # one hit, one miss
         report = score(self._output([block]), truth, dicts, per_entry=True)
         assert report.precision == 0.5
@@ -214,7 +214,7 @@ class TestScore:
 
     def test_per_entry_requires_cells(self):
         dicts, truth = self._setup()
-        truth.cells = None
+        truth = truth._replace(cells=None)
         with pytest.raises(ValueError):
             score(self._output([]), truth, dicts, per_entry=True)
 
@@ -273,3 +273,18 @@ class TestScaling:
     @pytest.mark.parametrize("df, t", [(11, 2.201), (25, 2.060), (40, 2.021)])
     def test_untabulated_df_never_narrows_the_interval(self, df, t):
         assert _t95(df) >= t
+
+
+def test_replace_runs_the_checks():
+    # A record derived with _replace is built by its class, checks and all.
+    with pytest.raises(ConfigError):
+        EngineConfig()._replace(k=0, l=-3, max_epochs=0)
+    with pytest.raises(ConfigError):
+        IngestConfig(mode_cols=(0, 1), time_col=2, stride=1)._replace(stride=0)
+    with pytest.raises(DensityInfeasible):
+        tiny_spec()._replace(span_bins=0)
+    truth = InjectedTruth(mode_ids=[["a"], ["x"]], span=(0, 1), density=1.0, seed=0,
+                          stride=1, t0=0, n_bins=1)
+    assert truth._replace(span=[0, 1]).span == (0, 1)
+    assert type(tiny_spec()._replace(seed=1)) is InjectionSpec
+    assert EngineConfig()._replace(k=3) == EngineConfig(k=3)

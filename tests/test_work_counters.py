@@ -9,7 +9,6 @@ through the module globals the package calls.
 """
 
 import collections
-import dataclasses
 import gc
 import hashlib
 import sys
@@ -127,7 +126,7 @@ def test_detect_peak_memory_per_entry():
     # the peak read 438 B per entry with a key-to-entry map and a live-mark
     # bytearray in the index and a run's state alive while its block was
     # built, and 335 B without them.
-    lines, truth = synth.generate_stream(dataclasses.replace(ORACLE, background_tuples=3000))
+    lines, truth = synth.generate_stream(ORACLE._replace(background_tuples=3000))
     cfg = IngestConfig(mode_cols=(0, 1), time_col=2, value_col=3, stride=truth.stride,
                        t0=truth.t0)
     tensor = TensorSlice(3, (0, 1))
