@@ -8,15 +8,15 @@ to contribute new ids (the modes where the blocks share none), groups
 the donor's entries into sub-blocks adding exactly one new id per such
 mode, and merges them largest mass first while the test keeps passing.
 When every mode already overlaps, entries fully covered by shared ids
-move for free and a single best one-new-id sub-block is tried. The loop
-repeats until a full pass moves nothing.
+move for free and one-new-id sub-blocks merge best first: a drain. The
+loop repeats until a pass moves nothing or a drain is final.
 
 A donor is read through its splice index, built the first time the block
 is spliced and cached on it: per-mode postings from each id to its entry
-keys in entry order, each key's ordinal, and an upper bound ``vmax`` on
-its entry values. Each pass starts from one list, the ids the two blocks
-share on each mode: the forced modes are those where it is empty, and it
-feeds both the bound below and the walk of the donor. Every pass with
+keys in entry order, and an upper bound ``vmax`` on its entry values.
+Each pass starts from one list, the ids the two blocks share on each
+mode: the forced modes are those where it is empty, and it feeds both
+the bound below and the walk of the donor. Every pass with
 forced modes tries sub-blocks with one new id per forced mode, and an
 entry-free bound on the heaviest one comes first. Its entries take every
 other id from the shared ids, so it holds at most one entry per
@@ -28,15 +28,16 @@ latter, so with one forced mode the bound reads no entry. When either
 weight fails the test, the pass would merge nothing and the call ends
 before the donor is walked.
 
-A pass that goes on visits only entries that can survive the shared-id
-filter: those reached through the shared ids of the cheapest free mode,
-or, when every mode overlaps, of the two cheapest modes, since an entry
-with at most one unseen id is shared on one of any two modes. They are
-put back in entry order, and every mass is added up in that order by the
-one summation rule, ``running_sum`` in ``blocks.py``, so merges and masses
-match a scan of the whole donor exactly. With forced modes, one walk
-collects each combination's keys and a candidate merges the keys its
-walk found.
+A forced pass that goes on visits only entries that can survive the
+shared-id filter: those reached through the shared ids of the cheapest
+free mode, or the whole donor when that walk would cost as much. It
+groups them by combination, and a candidate of several keys is read back
+in entry order from its first forced id's postings. A drain scans the
+donor once in entry order. So every mass is added up in entry order by
+the one summation rule, ``running_sum`` in ``blocks.py``, and merges and
+masses match a scan of the whole donor exactly. A drain that merged ends
+the splice unless a mode lost its overlap or the donor holds a float
+(see ``_empty_q_drain``).
 
 Nothing is recounted per merge. The target keeps its mass and size as it
 merges, and each merge names the ids it adds: none for shared entries, a
@@ -61,7 +62,6 @@ for its copies once, not per merge.
 from __future__ import annotations
 
 import heapq
-import itertools
 from operator import itemgetter
 
 from .blocks import Block, running_sum
@@ -87,17 +87,15 @@ class _SpliceIndex:
     """One block's entries indexed for reading the block as a donor.
 
     ``postings[m][id]`` lists the keys holding ``id`` on mode ``m`` in
-    entry order, as a fresh build would. ``order`` maps keys to ordinals
-    that rise with entry order. ``vmax`` is at least the block's largest
-    entry value.
+    entry order, as a fresh build would, and ``vmax`` is at least the
+    block's largest entry value. That is all it holds: a reader that
+    reaches keys out of entry order reads them back from the postings.
     """
 
-    __slots__ = ("order", "next_ordinal", "postings", "vmax")
+    __slots__ = ("postings", "vmax")
 
     def __init__(self, block: Block):
         entries = block.entries
-        self.order = dict(zip(entries, itertools.count()))
-        self.next_ordinal = len(entries)
         self.postings: list[dict[int, list]] = []
         for mode in range(block.n_modes):
             postings: dict[int, list] = {}
@@ -145,24 +143,20 @@ class _SpliceIndex:
             return True
         return q > 1 and len(set(map(itemgetter(*q_modes), donor.entries))) == nnz
 
-    def update(self, entries: dict, moved: list[dict], counts: list[dict[int, int]]) -> None:
+    def update(self, entries: dict, held: dict, moved: list, counts: list) -> None:
         """Re-index after the dicts in ``moved`` were summed into or taken
-        out of ``entries``; ``counts[m]`` holds the live entry count of
-        every id on mode ``m`` that lost a key."""
-        order = self.order
+        out of the entries ``held``, giving ``entries``; ``counts[m]`` holds
+        the live entry count of every id on mode ``m`` that lost a key."""
         postings = self.postings
         vmax = self.vmax
         for changed in moved:
             for key in changed:
                 value = entries.get(key)
                 if value is None:
-                    del order[key]
                     continue
                 if value > vmax:
                     vmax = value
-                if key not in order:
-                    order[key] = self.next_ordinal
-                    self.next_ordinal += 1
+                if key not in held:
                     for mode, idx in enumerate(key):
                         postings[mode].setdefault(idx, []).append(key)
         for mode_postings, mode_counts in zip(postings, counts):
@@ -253,7 +247,7 @@ class _Working:
         if index is not None:
             self.source._index = None
             if block.entries:
-                index.update(block.entries, self.moved, self.counts)
+                index.update(block.entries, self.source.entries, self.moved, self.counts)
                 block._index = index
         return block
 
@@ -268,31 +262,23 @@ def _merge(w1: _Working, w2: _Working, entries: dict, new_ids, trace) -> None:
         trace.append((before, w1.mass / w1.size))
 
 
-def _reached(shared, w2: _Working, modes, count: int):
-    """Live donor keys holding a ``shared`` id on at least one of the
-    ``count`` cheapest ``modes``, in donor entry order.
-
-    Cost is the number of postings a walk would visit; when fewer than
-    ``count`` modes are given, or the walk would visit at least as many
-    keys as the donor holds, every key is returned instead.
-    """
+def _reached(shared, w2: _Working, modes):
+    """Live donor keys holding a ``shared`` id on the cheapest of ``modes``,
+    in walk order, or the donor's entry dict when no mode is given or each
+    walk would visit at least as many postings as the donor has keys."""
     entries = w2.entries
     postings = w2.index.postings
-    options = []
+    best = None
+    cheapest = len(entries)
     for mode in modes:
         mode_postings = postings[mode]
         cost = sum([len(mode_postings[idx]) for idx in shared[mode]])
-        options.append((cost, mode))
-    options.sort()
-    chosen = options[:count]
-    if len(chosen) < count or sum(cost for cost, _ in chosen) >= len(entries):
+        if cost < cheapest:
+            best, cheapest = mode, cost
+    if best is None:
         return entries
-    keys: set = set()
-    for _, mode in chosen:
-        mode_postings = postings[mode]
-        for idx in shared[mode]:
-            keys.update(mode_postings[idx])
-    return sorted([key for key in keys if key in entries], key=w2.index.order.__getitem__)
+    mode_postings = postings[best]
+    return [key for idx in shared[best] for key in mode_postings[idx] if key in entries]
 
 
 def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, shared, trace) -> bool:
@@ -300,15 +286,18 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, shared, trace) -> b
     by combination, while the merge test passes.
 
     A candidate is the donor entries sharing one id combination on the
-    forced modes whose other ids the target already holds; one walk
-    collects each candidate's keys in entry order.
+    forced modes whose other ids the target already holds. One walk groups
+    them; a walk through postings reaches them out of entry order, so a
+    candidate of several keys is read back from its first forced id's
+    postings, which hold every live key as a call never updates them.
     """
     entries = w2.entries
     free = [(m, ids) for m, ids in enumerate(shared) if ids]
     combo_of = itemgetter(*q_modes)  # a bare id when one mode is forced
     firsts: dict = {}
-    spread: dict = {}  # keys in entry order of the combinations seen twice
-    for key in _reached(shared, w2, [m for m, _ in free], 1):
+    spread: dict = {}  # the keys of the combinations seen twice
+    reached = _reached(shared, w2, [m for m, _ in free])
+    for key in reached:
         for m, seen in free:
             if key[m] not in seen:
                 break
@@ -323,6 +312,12 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, shared, trace) -> b
                     spread[combo] = [first, key]
                 else:
                     keys.append(key)
+    if reached is not entries:
+        postings = w2.index.postings[q_modes[0]]
+        for combo, keys in spread.items():
+            found = set(keys)
+            first_id = combo if len(q_modes) == 1 else combo[0]
+            spread[combo] = [key for key in postings[first_id] if key in found]
     heap = []
     for combo, key in firsts.items():
         keys = spread.get(combo)
@@ -345,21 +340,22 @@ def _forced_pass(w1: _Working, w2: _Working, q_modes: tuple, shared, trace) -> b
 
 def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
     """Run fully-overlapping passes to exhaustion without rescanning, and
-    return whether anything merged.
+    return whether the splice must go on.
 
-    Equivalent to repeating the one-shot pass while it keeps merging, but
-    the donor is classified once: entries with a single unseen id feed a
-    lazy max-heap of per-(mode, id) candidates. Entries with several wait
-    until one of their ids becomes common, when a walk of that id's
-    postings re-examines them. Stops once the best candidate fails or
-    none is left, the donor runs dry, or some mode loses its overlap (the
-    caller then recomputes the forced modes). A mode has lost it when the
-    two blocks' id counts on it add up to their union, taken once from
-    ``shared``: a merge moves ids into the target and never out of both.
+    The donor is classified once, in entry order: entries with a single
+    unseen id feed a lazy max-heap of per-(mode, id) buckets, and those
+    with several wait until one of their ids becomes common, when a walk
+    of that id's postings re-examines them. Stops once the best bucket
+    fails or none is left, or a mode loses its overlap, as every mode does
+    once the donor runs dry: the two blocks' id counts on it add up to
+    their union, taken once from ``shared``. A drain that merged is final, since on ints
+    a fresh one would find no shared entry and the same buckets at the same
+    masses, unless the forced modes changed or the donor holds a float: a
+    re-walk adds keys to a bucket out of entry order, and its float sum
+    can round apart from a fresh one (``1 + 1e16 + 1``).
     """
     n = w1.n
     postings = w2.index.postings
-    moved_any = False
     common = {}
     buckets: dict[tuple[int, int], dict] = {}
     masses: dict[tuple[int, int], int | float] = {}
@@ -377,8 +373,11 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
 
     unions = [len(a) + len(b) - len(ids) for a, b, ids in zip(w1.sets, w2.sets, shared)]
 
+    def lost_overlap() -> bool:
+        return any(len(a) + len(b) == u for a, b, u in zip(w1.sets, w2.sets, unions))
+
     sets = w1.sets  # the target's sets until its first merge copies them
-    for key in _reached(shared, w2, range(n), 2):
+    for key, value in w2.entries.items():
         new_id = None
         for m in range(n):
             if key[m] not in sets[m]:
@@ -387,9 +386,9 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
                 new_id = (m, key[m])
         else:
             if new_id is None:
-                common[key] = w2.entries[key]
+                common[key] = value
             else:
-                enroll(key, w2.entries[key], new_id)
+                enroll(key, value, new_id)
     heap = [(-mass, bucket_key) for bucket_key, mass in masses.items()]
     heapq.heapify(heap)
 
@@ -397,7 +396,7 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
     # leaves every other entry's classification unchanged.
     if common:
         _merge(w1, w2, common, (), trace)
-        moved_any = True
+    merged = bool(common)
 
     while buckets and heap:
         neg_mass, bucket_key = heapq.heappop(heap)
@@ -409,7 +408,7 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
         entries = buckets.pop(bucket_key)
         del masses[bucket_key]
         _merge(w1, w2, entries, (bucket_key,), trace)
-        moved_any = True
+        merged = True
         mode, idx = bucket_key
         for key in postings[mode][idx]:
             value = w2.entries.get(key)
@@ -418,11 +417,10 @@ def _empty_q_drain(w1: _Working, w2: _Working, shared, trace) -> bool:
                 if len(new_ids) == 1:
                     enroll(key, value, new_ids[0])
                     heapq.heappush(heap, (-masses[new_ids[0]], new_ids[0]))
-        if not w2.entries or any(
-            len(a) + len(b) == u for a, b, u in zip(w1.sets, w2.sets, unions)
-        ):
-            break  # the donor ran dry, or the forced modes changed
-    return moved_any
+        if lost_overlap():
+            return True
+    # The merge of shared entries alone can take a mode's overlap.
+    return merged and (lost_overlap() or not isinstance(w2.source.mass, int))
 
 
 # ---------------------------------------------------------------------------

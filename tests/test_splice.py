@@ -435,8 +435,6 @@ def test_float_results_are_the_same_under_python312_sum(drawn):
 def assert_fresh(index: _SpliceIndex, block: Block) -> None:
     fresh = _SpliceIndex(block)
     assert index.postings == fresh.postings
-    assert sorted(index.order, key=index.order.get) == list(block.entries)
-    assert index.next_ordinal > max(index.order.values())
     assert index.vmax >= fresh.vmax == max(block.entries.values())
 
 
@@ -624,6 +622,48 @@ def test_drain_that_stops_on_a_failing_candidate_is_final(unit):
     donor = Block(3, {key: value * unit for key, value in DRAIN_DONOR.items()})
     got = assert_matches_reference(target, donor)
     assert got[1].entries == {(5, 0, 0): 1 * unit, (0, 7, 0): 1 * unit}
+
+
+def test_an_int_drain_that_merged_and_then_failed_ends_the_splice(monkeypatch):
+    # The drain above, on ints: a second drain would find the same two
+    # buckets at the same masses, and user 5 would fail again, so none runs.
+    target = Block(3, DRAIN_TARGET)
+    donor = Block(3, DRAIN_DONOR)
+    drains = count_calls(monkeypatch, tensorsplice.splice, "_empty_q_drain")
+    got = assert_matches_reference(target, donor)
+    assert len(drains) == 1
+    assert got[1].entries == {(5, 0, 0): 1, (0, 7, 0): 1}
+
+
+def test_a_drain_whose_shared_entries_took_an_overlap_is_followed_by_a_forced_pass(
+    monkeypatch,
+):
+    # The drain moves the shared (0, 0) for free, and the donor keeps no
+    # user or item the target holds. No bucket forms, as each entry left
+    # brings two new ids, but both modes are now forced, and (1, 2) merges
+    # (12 * 2 > 2 * 11); (1, 3) then fails on item 3 (1 * 4 <= 23).
+    target = Block(2, {(0, 0): 10})
+    donor = Block(2, {(0, 0): 1, (1, 2): 12, (1, 3): 1})
+    drains = count_calls(monkeypatch, tensorsplice.splice, "_empty_q_drain")
+    passes = count_calls(monkeypatch, tensorsplice.splice, "_forced_pass")
+    got = assert_matches_reference(target, donor)
+    assert len(drains) == 1
+    assert [args[2] for args in passes] == [(0, 1), (1,)]
+    assert got[1].entries == {(1, 3): 1}
+
+
+def test_a_forced_pass_sums_a_walked_candidate_in_entry_order():
+    # Item 7 is forced. The pass walks users 0, 1 and 2, the ids the blocks
+    # share, in the order a set of small ints iterates, so (0, 7) comes first. In that order the
+    # candidate weighs (1e16 + 1) + 1 = 1e16, which ties the merge test
+    # (1e16 * 4 == 4e16); in entry order, (1 + 1) + 1e16 = 1e16 + 2, which
+    # merges. Users 50 and 51 make the walk cheaper than a scan.
+    assert running_sum([1e16, 1.0, 1.0]) == 1e16 != running_sum([1.0, 1.0, 1e16])
+    target = Block(2, {(0, 100): 1e16, (1, 100): 1e16, (2, 100): 2e16})
+    donor = Block(2, {(1, 7): 1.0, (2, 7): 1.0, (0, 7): 1e16, (50, 8): 1.0, (51, 8): 1.0})
+    assert required_new_modes(target, donor) == (1,)
+    got = assert_matches_reference(target, donor)
+    assert got[1].entries == {(50, 8): 1.0, (51, 8): 1.0}
 
 
 def test_target_index_only_gains_keys():

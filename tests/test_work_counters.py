@@ -1,6 +1,6 @@
 """The work behind `steady` and `oracle` stream 0 at the benchmark's
-default seed, and the memory a detect and a tracking run on such a stream
-take.
+default seed and behind a 30-bin stream at `steady`'s per-bin parameters,
+and the memory a detect and a tracking run on such a stream take.
 
 A change that keeps the output bytes must also keep the splices and peels
 that produce them. The stream parameters are those of the workloads in
@@ -46,6 +46,9 @@ ORACLE = synth.InjectionSpec(
     seed=10000,
 )
 ORACLE_DIGEST = "7dc80dd93771c00ad132723c1bfa4c2f021464c7a9ec88bbcba37a9d5db63352"
+# Thirty bins of steady's background rate, tracked at k=1.
+LONG = STEADY._replace(n_bins=30, background_tuples=45000)
+LONG_DIGEST = "4332d3ee3fc9b7ceaaa6bf335767ff538d44a612deec4bdba98341cad781476e"
 # CPython 3.11 moved a call's arguments into the callee's frame. Before it,
 # the caller's stack holds them until the call returns, so there the state
 # run_stream hands a step, and every block it retains, lives until the step
@@ -67,9 +70,9 @@ def count_peels(monkeypatch) -> list:
     return peeled
 
 
-def run_digest(command: str, spec, tmp_path, capsys) -> str:
+def run_digest(command: str, spec, tmp_path, capsys, k: int = 10) -> str:
     """The sha256 of ``command``'s output on the stream ``spec`` generates,
-    at ``--k 10 --l 5``."""
+    at ``--k k --l 5``."""
     lines, truth = synth.generate_stream(spec)
     stream = tmp_path / "stream.tsv"
     stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -77,7 +80,7 @@ def run_digest(command: str, spec, tmp_path, capsys) -> str:
     code = main([
         command, "--input", str(stream), "--modes", "0,1", "--time-col", "2",
         "--value-col", "3", "--stride", str(truth.stride), "--t0", str(truth.t0),
-        "--k", "10", "--l", "5", "--output", str(out),
+        "--k", str(k), "--l", "5", "--output", str(out),
     ])
     assert code == 0, capsys.readouterr().err
     return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -107,7 +110,17 @@ def test_steady_stream_work_counters(tmp_path, monkeypatch, capsys):
         "calls": 2849, "productive_calls": 495, "donor_nnz": 914741, "mass_moved": 19451,
     }
     assert (len(detects), len(peeled), sum(peeled)) == (10, 46, 15959)
-    assert (len(drains), len(forced)) == (644, 1368)
+    assert (len(drains), len(forced)) == (579, 1368)
+
+
+def test_long_stream_drain_counters(tmp_path, monkeypatch, capsys):
+    # A drain that merged on int values is final unless a mode lost its
+    # overlap. When every drain that merged was followed by one more, this
+    # stream took 1,199 drains.
+    drains = count_calls(monkeypatch, tensorsplice.splice, "_empty_q_drain", keep_args=False)
+    forced = count_calls(monkeypatch, tensorsplice.splice, "_forced_pass", keep_args=False)
+    assert run_digest("run", LONG, tmp_path, capsys, k=1) == LONG_DIGEST
+    assert (len(drains), len(forced)) == (950, 1147)
 
 
 def test_oracle_stream_work_counters(tmp_path, monkeypatch, capsys):
@@ -207,6 +220,22 @@ def test_run_stream_peak_memory_per_event(steady_prefix):
     finally:
         tracemalloc.stop()
     assert peak / len(events) < (550 if ARGUMENTS_HANDED_OVER else 610)
+
+
+def test_run_stream_peak_memory_per_event_with_lean_splice_indexes(steady_prefix):
+    # A block's splice index holds its postings and vmax and nothing else.
+    # With a key-to-ordinal map beside them, the peak read 516-518 B per
+    # event on Python 3.11 and 3.12 and 595 B on 3.10; without it, 434 B
+    # and 515 B.
+    events, _ = steady_prefix
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        collections.deque(run_stream(events, EngineConfig()), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / len(events) < (470 if ARGUMENTS_HANDED_OVER else 555)
 
 
 def test_kept_outputs_emit_the_bytes_of_dropped_ones(steady_prefix):
